@@ -3,15 +3,16 @@
 //!
 //! ```text
 //! bench_throughput [--scale S] [--workloads w1,w2,...] [--repeats N]
-//!                  [--sav V] [--capacity C] [--shards N] [--driver-lag L]
+//!                  [--sav V] [--driver-lag L]
 //!                  [--min-ratio R] [--output PATH] [--topologies t1,t2,...]
 //!                  [--hotloop-output PATH] [--hotloop-baseline PATH]
 //!                  [--min-speedup R]
 //! ```
 //!
 //! For each workload × topology the harness runs the same LASERDETECT session
-//! twice per repeat — once inline, once as the three-stage pipeline
-//! (machine | driver | detector shards) — interleaved so machine-load drift
+//! twice per repeat — once inline, once pipelined (the machine on the
+//! calling thread, the driver+detector stage on a worker) — interleaved so
+//! machine-load drift
 //! hits both modes equally, and scores each mode by its **best** observed
 //! steps/second (robust against scheduling noise). It also asserts the
 //! tentpole invariant on every pair: at `--driver-lag 0` (the default) the
@@ -24,8 +25,9 @@
 //!
 //! Each pipelined row also carries **stage occupancy**: the machine, driver
 //! and detector busy times of the best pipelined run divided by its wall
-//! time. On a multi-core host healthy overlap shows all three fractions
-//! high simultaneously; on a single-core host they sum to at most ~1.
+//! time. The driver and detector share the stage thread, so their two
+//! fractions sum to that thread's occupancy. On a single-core host all
+//! three sum to at most ~1.
 //!
 //! Two reports come out of one measurement sweep:
 //!
@@ -55,9 +57,8 @@
 //! physically out of reach and the measured ratio is pure scheduler noise
 //! around 1.0. The harness reports the host's `parallelism` in the JSON and,
 //! when it is 1, relaxes the effective pipeline gate to
-//! `min(min_ratio, 0.90)` (tightened from the 0.85 the two-stage pipeline
-//! shipped with — the three-stage charge-back costs at most a couple of
-//! context switches per quantum, and `--driver-lag 1` buys most of it back):
+//! `min(min_ratio, 0.90)` (the charge-back costs at most a couple of context
+//! switches per quantum, and `--driver-lag 1` buys most of it back):
 //! single-core hosts still catch gross regressions, while every multi-core
 //! host — including every hosted CI runner — holds the strict line. The
 //! hot-loop gate needs no such relaxation: it compares absolute inline
@@ -79,7 +80,7 @@ use laser_workloads::{registry, BuildOptions, WorkloadSpec};
 use serde::json::Value;
 
 const USAGE: &str = "usage: bench_throughput [--scale S] [--workloads w1,w2,...] [--repeats N] \
-                     [--sav V] [--capacity C] [--shards N] [--driver-lag L] [--min-ratio R] \
+                     [--sav V] [--driver-lag L] [--min-ratio R] \
                      [--output PATH] [--topologies t1,t2,...] [--hotloop-output PATH] \
                      [--hotloop-baseline PATH] [--min-speedup R]\n\
                      \n\
@@ -88,10 +89,6 @@ const USAGE: &str = "usage: bench_throughput [--scale S] [--workloads w1,w2,...]
                      --workloads ...      comma-separated workload names (default: a contended trio)\n\
                      --repeats N          timed repeats per mode, best-of scoring (default 5)\n\
                      --sav V              PEBS sample-after-value (default 1: detector-heaviest)\n\
-                     --capacity C         record-channel capacity in batches (default 2)\n\
-                     --shards N           detector worker shards on the pipelined leg\n\
-                     \x20                     (default 1; line-hash routing keeps the output\n\
-                     \x20                     byte-identical, so the equality assert still holds)\n\
                      --driver-lag L       quanta of charge-back lag on the pipelined leg\n\
                      \x20                     (default 0: byte-identical to inline and asserted\n\
                      \x20                     so; 1+ defers charges, asserted run-to-run\n\
@@ -126,8 +123,6 @@ struct Cli {
     workloads: Vec<String>,
     repeats: usize,
     sav: u32,
-    capacity: usize,
-    shards: usize,
     driver_lag: usize,
     min_ratio: f64,
     output: String,
@@ -144,8 +139,6 @@ impl Cli {
             workloads: DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect(),
             repeats: 5,
             sav: 1,
-            capacity: 2,
-            shards: 1,
             driver_lag: 0,
             min_ratio: 1.0,
             output: "BENCH_pipeline.json".to_string(),
@@ -171,13 +164,6 @@ impl Cli {
                     cli.repeats = n.max(1);
                 }
                 "--sav" => cli.sav = value(args, i)?.parse().map_err(|e| format!("{e}"))?,
-                "--capacity" => {
-                    cli.capacity = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--shards" => {
-                    let n: usize = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                    cli.shards = n.max(1);
-                }
                 "--driver-lag" => {
                     cli.driver_lag = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
                 }
@@ -429,8 +415,6 @@ fn pipeline_json(
         .set("scale", cli.scale)
         .set("repeats", cli.repeats as i64)
         .set("sav", cli.sav as i64)
-        .set("capacity", cli.capacity as i64)
-        .set("shards", cli.shards as i64)
         .set("driver_lag", cli.driver_lag as i64)
         .set("parallelism", parallelism as i64)
         .set("min_ratio", cli.min_ratio)
@@ -475,8 +459,6 @@ fn hotloop_json(
         .set("scale", cli.scale)
         .set("repeats", cli.repeats as i64)
         .set("sav", cli.sav as i64)
-        .set("capacity", cli.capacity as i64)
-        .set("shards", cli.shards as i64)
         .set("parallelism", parallelism as i64)
         .set(
             "topologies",
@@ -504,10 +486,7 @@ fn run(cli: &Cli) -> Result<bool, String> {
         None => None,
     };
     let config = LaserConfig::detection_only().with_sav(cli.sav);
-    let pipeline = PipelineConfig::pipelined()
-        .with_capacity(cli.capacity)
-        .with_shards(cli.shards)
-        .with_driver_lag(cli.driver_lag);
+    let pipeline = PipelineConfig::pipelined().with_driver_lag(cli.driver_lag);
     let opts = BuildOptions {
         scale: cli.scale,
         ..Default::default()
@@ -651,7 +630,6 @@ mod tests {
         assert_eq!(cli.repeats, 5);
         assert_eq!(cli.scale, 2.0);
         assert_eq!(cli.min_ratio, 1.0);
-        assert_eq!(cli.shards, 1);
         assert_eq!(cli.driver_lag, 0, "lag 0 keeps the equality assert armed");
         assert_eq!(cli.output, "BENCH_pipeline.json");
         assert_eq!(cli.workloads, DEFAULT_WORKLOADS);
@@ -713,10 +691,6 @@ mod tests {
             "0",
             "--min-ratio",
             "0.9",
-            "--capacity",
-            "4",
-            "--shards",
-            "0",
             "--driver-lag",
             "2",
             "--output",
@@ -732,13 +706,19 @@ mod tests {
         assert_eq!(cli.scale, 0.1);
         assert_eq!(cli.repeats, 1, "repeats clamp to at least one");
         assert_eq!(cli.min_ratio, 0.9);
-        assert_eq!(cli.capacity, 4);
-        assert_eq!(cli.shards, 1, "shard count clamps to at least one");
         assert_eq!(cli.driver_lag, 2);
         assert_eq!(cli.output, "out.json");
         assert_eq!(cli.hotloop_output, "hot.json");
         assert_eq!(cli.hotloop_baseline.as_deref(), Some("base.json"));
         assert_eq!(cli.min_speedup, 1.5);
+    }
+
+    #[test]
+    fn stage_deployment_flags_beyond_the_lag_are_rejected() {
+        for flag in ["--shards", "--capacity"] {
+            let err = Cli::parse(&args(&[flag, "2"])).unwrap_err();
+            assert!(err.contains(&format!("unknown argument '{flag}'")), "{err}");
+        }
     }
 
     #[test]

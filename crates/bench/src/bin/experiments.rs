@@ -31,20 +31,13 @@
 //! disturbing the rest of the grid. Step budgets are deterministic, so the
 //! output stays byte-identical whatever `--threads` is.
 //!
-//! `--pipeline` deploys every LASER cell with its detector stage on a worker
-//! thread, overlapped with the simulated quantum behind a double-buffered
-//! record channel (see `laser_core::PipelineConfig`). Pipelining raises
-//! throughput when cells are fewer than worker threads; the output is
-//! **byte-identical** to a non-pipelined run — CI diffs the two to prove it.
-//!
-//! `--shards N` shards the pipelined detector stage over `N` worker threads
-//! (and implies `--pipeline`). Records route to shards by cache-line hash, so
-//! every line's observation sequence is preserved and the merged output stays
-//! **byte-identical** to inline and single-worker runs for every shard count —
-//! CI diffs `--shards 4` against `--shards 1` to prove it. `--shard-routing
-//! socket` instead routes each record by the socket of its sampling core
-//! (deterministic, but not inline-identical: it models one detector core per
-//! socket, where a contended line's records can split across shards).
+//! `--pipeline` deploys every LASER cell with its driver+detector stage on a
+//! worker thread, overlapped with the simulated quantum behind a bounded job
+//! channel (see `laser_core::PipelineConfig`). Pipelining raises throughput
+//! when cells are fewer than worker threads; the output is **byte-identical**
+//! to a non-pipelined run — CI diffs the two to prove it. `--driver-lag L`
+//! settles each quantum's charges `L` boundaries late (and implies
+//! `--pipeline`): deterministic, but not inline-identical for `L >= 1`.
 //!
 //! `--topology flat|2s|4s` deploys every cell's machine on a socket-topology
 //! preset (4 cores per socket, threads scaled to match, multi-socket
@@ -93,7 +86,7 @@ use laser_bench::scenario::MAX_DRIVER_LAG;
 use laser_bench::xsocket::{plan_xsocket, xsocket_from_grid};
 use laser_bench::{
     validate_workload_names, Campaign, CampaignProgress, CellBudget, CellCache, CustomTopology,
-    ExperimentScale, Grid, GridResult, PipelineConfig, ShardRouting, TopologySpec,
+    ExperimentScale, Grid, GridResult, PipelineConfig, TopologySpec,
 };
 use laser_workloads::registry;
 use serde::json::Value;
@@ -128,7 +121,7 @@ impl Format {
 const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
                      fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
                      [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
-                     [--shards N] [--driver-lag L] [--shard-routing line|socket] \
+                     [--driver-lag L] \
                      [--topology flat|2s|4s] [--topology-file FILE]\n\
                      \n\
                      --scale S             workload input-size multiplier (default 0.4;\n\
@@ -138,20 +131,13 @@ const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|t
                      \x20                     (validated up front; unknown names are an error)\n\
                      --format F            stdout format: text (default), json or csv\n\
                      --cell-budget-steps N bound every cell at N retired instructions\n\
-                     --pipeline            run each LASER cell's detector stage on a worker\n\
-                     \x20                     thread, overlapped with the simulated quantum\n\
-                     \x20                     (byte-identical output, higher throughput)\n\
-                     --shards N            shard the pipelined detector over N workers\n\
-                     \x20                     (implies --pipeline; line-hash routing keeps\n\
-                     \x20                     the output byte-identical for every N)\n\
+                     --pipeline            run each LASER cell's driver+detector stage on\n\
+                     \x20                     a worker thread, overlapped with the simulated\n\
+                     \x20                     quantum (byte-identical output)\n\
                      --driver-lag L        defer each quantum's PMU charge by L quantum\n\
                      \x20                     boundaries (implies --pipeline; 0, the\n\
                      \x20                     default, is byte-identical to inline; L >= 1\n\
                      \x20                     is deterministic and usually faster)\n\
-                     --shard-routing R     route records to shards by cache line (line,\n\
-                     \x20                     the default) or by the sampling core's socket\n\
-                     \x20                     (socket; deterministic but not inline-identical;\n\
-                     \x20                     implies --pipeline)\n\
                      --topology T          deploy every cell on a socket-topology preset:\n\
                      \x20                     flat (default, single socket), 2s, 4s, 8s or\n\
                      \x20                     32s (4 cores/socket, threads scaled to match);\n\
@@ -589,20 +575,9 @@ impl Cli {
                 }
                 "--pipeline" => {
                     // Set the flag in place so `--pipeline` composes with
-                    // `--shards`/`--shard-routing` in either order.
+                    // `--driver-lag` in either order.
                     cli.pipeline.enabled = true;
                     i += 1;
-                }
-                "--shards" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    if v == 0 {
-                        return Err(CliError::Invalid("--shards must be at least 1".to_string()));
-                    }
-                    cli.pipeline = cli.pipeline.with_shards(v);
-                    cli.pipeline.enabled = true;
-                    i += 2;
                 }
                 "--driver-lag" => {
                     let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
@@ -614,19 +589,6 @@ impl Cli {
                         )));
                     }
                     cli.pipeline = cli.pipeline.with_driver_lag(v as usize);
-                    cli.pipeline.enabled = true;
-                    i += 2;
-                }
-                "--shard-routing" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    let routing = ShardRouting::parse(v).ok_or_else(|| {
-                        CliError::Invalid(format!(
-                            "unknown shard routing '{v}' (expected line or socket)"
-                        ))
-                    })?;
-                    cli.pipeline = cli.pipeline.with_routing(routing);
                     cli.pipeline.enabled = true;
                     i += 2;
                 }
@@ -878,40 +840,11 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_flag_enables_the_double_buffered_deployment() {
+    fn pipeline_flag_enables_the_pipelined_deployment() {
         let cli = Cli::parse(&args(&["campaign", "--pipeline", "--threads", "2"])).unwrap();
         assert!(cli.pipeline.enabled);
         assert_eq!(cli.pipeline, PipelineConfig::pipelined());
         assert_eq!(cli.threads, Some(2));
-    }
-
-    #[test]
-    fn shards_flag_implies_the_pipelined_deployment() {
-        // `--shards` alone pipelines with the requested worker count...
-        let cli = Cli::parse(&args(&["campaign", "--shards", "4"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined().with_shards(4));
-        // ...even for 1, so CI can diff two pipelined runs that differ only
-        // in shard count.
-        let cli = Cli::parse(&args(&["campaign", "--shards", "1"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
-        // Flag order must not matter.
-        let ab = Cli::parse(&args(&["campaign", "--pipeline", "--shards", "8"])).unwrap();
-        let ba = Cli::parse(&args(&["campaign", "--shards", "8", "--pipeline"])).unwrap();
-        assert_eq!(ab.pipeline, ba.pipeline);
-        assert_eq!(ab.pipeline, PipelineConfig::pipelined().with_shards(8));
-        // Zero shards and malformed counts are rejected up front.
-        assert_eq!(
-            Cli::parse(&args(&["campaign", "--shards", "0"])).unwrap_err(),
-            CliError::Invalid("--shards must be at least 1".to_string())
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--shards"])).unwrap_err(),
-            CliError::Usage
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--shards", "many"])).unwrap_err(),
-            CliError::Usage
-        );
     }
 
     #[test]
@@ -923,16 +856,11 @@ mod tests {
         let cli = Cli::parse(&args(&["campaign", "--driver-lag", "2"])).unwrap();
         assert_eq!(cli.pipeline, PipelineConfig::pipelined().with_driver_lag(2));
         assert!(cli.pipeline.enabled, "--driver-lag implies --pipeline");
-        // Flag order must not matter, and it composes with --shards.
-        let ab = Cli::parse(&args(&["campaign", "--driver-lag", "1", "--shards", "4"])).unwrap();
-        let ba = Cli::parse(&args(&["campaign", "--shards", "4", "--driver-lag", "1"])).unwrap();
+        // Flag order must not matter, and it composes with --pipeline.
+        let ab = Cli::parse(&args(&["campaign", "--driver-lag", "1", "--pipeline"])).unwrap();
+        let ba = Cli::parse(&args(&["campaign", "--pipeline", "--driver-lag", "1"])).unwrap();
         assert_eq!(ab.pipeline, ba.pipeline);
-        assert_eq!(
-            ab.pipeline,
-            PipelineConfig::pipelined()
-                .with_shards(4)
-                .with_driver_lag(1)
-        );
+        assert_eq!(ab.pipeline, PipelineConfig::pipelined().with_driver_lag(1));
         // Out-of-range and malformed lags are rejected up front.
         let over = (MAX_DRIVER_LAG + 1).to_string();
         assert_eq!(
@@ -989,39 +917,6 @@ mod tests {
         // ...and a dangling flag is a usage error.
         assert_eq!(
             Cli::parse(&args(&["--topology-file"])).unwrap_err(),
-            CliError::Usage
-        );
-    }
-
-    #[test]
-    fn shard_routing_flag_parses_and_validates() {
-        let cli = Cli::parse(&args(&[
-            "campaign",
-            "--shards",
-            "2",
-            "--shard-routing",
-            "socket",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cli.pipeline,
-            PipelineConfig::pipelined()
-                .with_shards(2)
-                .with_routing(ShardRouting::Socket)
-        );
-        let cli = Cli::parse(&args(&["campaign", "--shard-routing", "line"])).unwrap();
-        assert_eq!(cli.pipeline.routing, ShardRouting::LineHash);
-        assert!(cli.pipeline.enabled, "--shard-routing implies --pipeline");
-        let err = Cli::parse(&args(&["campaign", "--shard-routing", "pc"])).unwrap_err();
-        match err {
-            CliError::Invalid(msg) => {
-                assert!(msg.contains("unknown shard routing 'pc'"), "{msg}");
-                assert!(msg.contains("line or socket"), "{msg}");
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        assert_eq!(
-            Cli::parse(&args(&["--shard-routing"])).unwrap_err(),
             CliError::Usage
         );
     }

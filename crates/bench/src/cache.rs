@@ -113,8 +113,7 @@ impl CellConfig<'_> {
         format!(
             "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
              layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
-             pipeline={}\npipeline_capacity={}\npipeline_lossy={}\npipeline_shards={}\n\
-             pipeline_routing={}\npipeline_driver_lag={}\n",
+             pipeline={}\npipeline_driver_lag={}\n",
             self.workload,
             self.tool,
             topology,
@@ -126,20 +125,15 @@ impl CellConfig<'_> {
             steps,
             wall_ms,
             self.pipeline.enabled,
-            self.pipeline.capacity,
-            self.pipeline.lossy,
-            self.pipeline.shards,
-            self.pipeline.routing.key(),
             self.pipeline.driver_lag_quanta,
         )
     }
 
     /// Whether results under this config are deterministic enough to cache
-    /// at all: wall-clock budgets depend on real time and machine load, and
-    /// lossy pipelining forfeits the byte-identity guarantee, so neither is
-    /// ever cached.
+    /// at all: wall-clock budgets depend on real time and machine load, so
+    /// they are never cached.
     pub fn cacheable(&self) -> bool {
-        self.budget.max_wall.is_none() && !self.pipeline.lossy
+        self.budget.max_wall.is_none()
     }
 
     /// The cell key a fresh simulation of this config would be labelled
@@ -617,7 +611,6 @@ fn as_bool(value: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laser_core::ShardRouting;
     use laser_machine::ThreadPlacement;
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
@@ -687,14 +680,15 @@ mod tests {
         // format: if this literal changes, every existing cache directory
         // silently stops hitting. Bump CACHE_SALT instead of editing this
         // pin unless the canonical rendering itself deliberately changed.
-        // (Last deliberate change: `pipeline_driver_lag` joined the
-        // canonical rendering when the three-stage charge-back landed.)
+        // (Last deliberate change: the retired `pipeline_capacity`,
+        // `pipeline_lossy`, `pipeline_shards` and `pipeline_routing` lines
+        // left the canonical rendering with the knobs they rendered.)
         let opts = base_opts();
         let fp = fingerprint(&config(&opts));
         assert_eq!(fp.len(), 32);
         assert!(fp.bytes().all(|b| b.is_ascii_hexdigit()));
         assert_eq!(fp, fingerprint(&config(&opts)), "pure function");
-        assert_eq!(fp, "8f5a794020bcd14449ca73c76a42b7bf");
+        assert_eq!(fp, "ca14afe3f6c63bbfb8a3d82e4ad7914e");
     }
 
     #[test]
@@ -791,20 +785,6 @@ mod tests {
                 "pipeline",
                 fingerprint(&CellConfig {
                     pipeline: PipelineConfig::pipelined(),
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "pipeline_shards",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_shards(4),
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "pipeline_routing",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_routing(ShardRouting::Socket),
                     ..config(&opts)
                 }),
             ),
@@ -939,16 +919,6 @@ mod tests {
         assert_eq!(cache.load(&walled), None);
         assert_eq!(cache.stats(), CacheStats::default());
 
-        // Lossy pipelining forfeits byte-identity: same policy.
-        let lossy = CellConfig {
-            pipeline: PipelineConfig {
-                lossy: true,
-                ..PipelineConfig::pipelined()
-            },
-            ..config(&opts)
-        };
-        assert!(!lossy.cacheable());
-
         // Transient outcomes (errors, panics, wall-clock trips) are never
         // stored even under a cacheable config.
         let cfg = config(&opts);
@@ -1035,10 +1005,6 @@ mod tests {
             "budget_steps=none",
             "budget_wall_ms=none",
             "pipeline=false",
-            "pipeline_capacity=2",
-            "pipeline_lossy=false",
-            "pipeline_shards=1",
-            "pipeline_routing=line",
             "pipeline_driver_lag=0",
         ] {
             assert!(

@@ -15,7 +15,6 @@
 //!   "threads": 4,
 //!   "budget_steps": 40000000,
 //!   "pipeline": true,
-//!   "shards": 4,
 //!   "driver_lag_quanta": 1,
 //!   "format": "json",
 //!   "cells": [
@@ -148,12 +147,9 @@ pub struct Scenario {
     pub budget_steps: Option<u64>,
     /// Whether cells deploy the pipelined (detector-on-a-worker) session.
     pub pipeline: bool,
-    /// Detector worker shards for pipelined cells; `Some(n)` implies
-    /// `pipeline` (mirroring the CLI, where `--shards` implies `--pipeline`).
-    /// Line-hash routing keeps sharded output byte-identical to inline.
-    pub shards: Option<usize>,
     /// Charge-back lag of the driver stage in quanta; `Some(n)` implies
-    /// `pipeline` (like `shards`). Lag 0 keeps pipelined cells
+    /// `pipeline` (mirroring the CLI, where `--driver-lag` implies
+    /// `--pipeline`). Lag 0 keeps pipelined cells
     /// byte-identical to inline; lag >= 1 overlaps the machine with the
     /// driver stage and is run-to-run deterministic but not
     /// inline-identical — the cell cache keys on the lag, so lagged and
@@ -204,7 +200,6 @@ impl Scenario {
             threads: None,
             budget_steps: None,
             pipeline: false,
-            shards: None,
             driver_lag: None,
             format: None,
             custom_topology: None,
@@ -251,13 +246,6 @@ impl Scenario {
                         Value::Bool(b) => *b,
                         _ => return err("\"pipeline\" must be true or false"),
                     };
-                }
-                "shards" => {
-                    let shards = req_u64(field, "shards")?;
-                    if shards == 0 {
-                        return err("\"shards\" must be at least 1");
-                    }
-                    scenario.shards = Some(shards as usize);
                 }
                 "driver_lag_quanta" => {
                     let lag = req_u64(field, "driver_lag_quanta")?;
@@ -319,18 +307,15 @@ impl Scenario {
     }
 
     /// The pipeline deployment the scenario requests: `"pipeline": true`
-    /// enables the three-stage pipeline, a `"shards"` key shards the
-    /// detector stage and a `"driver_lag_quanta"` key sets the charge-back
-    /// lag (each implies pipelining, mirroring the CLI's `--shards` and
-    /// `--driver-lag`). Line-hash routing keeps every shard count
-    /// byte-identical to an inline run; only a non-zero lag diverges.
+    /// runs each cell's driver+detector stage on a worker thread, and a
+    /// `"driver_lag_quanta"` key sets the charge-back lag (and implies
+    /// pipelining, mirroring the CLI's `--driver-lag`). Only a non-zero lag
+    /// diverges from an inline run.
     pub fn pipeline_config(&self) -> PipelineConfig {
         PipelineConfig {
-            enabled: self.pipeline || self.shards.is_some() || self.driver_lag.is_some(),
-            ..PipelineConfig::default()
+            enabled: self.pipeline || self.driver_lag.is_some(),
+            driver_lag_quanta: self.driver_lag.unwrap_or(0),
         }
-        .with_shards(self.shards.unwrap_or(1))
-        .with_driver_lag(self.driver_lag.unwrap_or(0))
     }
 
     /// The resolved `(workload, tool, topology)` cells, deduplicated in
@@ -534,7 +519,6 @@ mod tests {
               "threads": 3,
               "budget_steps": 500000,
               "pipeline": true,
-              "shards": 2,
               "driver_lag_quanta": 1,
               "format": "csv",
               "cells": [
@@ -552,13 +536,10 @@ mod tests {
         assert_eq!(s.threads, Some(3));
         assert_eq!(s.budget_steps, Some(500000));
         assert!(s.pipeline);
-        assert_eq!(s.shards, Some(2));
         assert_eq!(s.driver_lag, Some(1));
         assert_eq!(
             s.pipeline_config(),
-            PipelineConfig::pipelined()
-                .with_shards(2)
-                .with_driver_lag(1)
+            PipelineConfig::pipelined().with_driver_lag(1)
         );
         assert_eq!(s.format, Some(AggregateFormat::Csv));
         assert_eq!(s.cells.len(), 2);
@@ -599,32 +580,15 @@ mod tests {
         assert_eq!(s.threads, None);
         assert_eq!(s.budget_steps, None);
         assert!(!s.pipeline);
-        assert_eq!(s.shards, None);
         assert_eq!(s.driver_lag, None);
         assert_eq!(s.pipeline_config(), PipelineConfig::default());
         assert_eq!(s.format, None);
     }
 
     #[test]
-    fn shards_key_implies_the_pipelined_deployment() {
-        // Mirrors the CLI: `"shards"` without `"pipeline"` still pipelines,
-        // so a scenario can ask for a sharded detector in one key.
-        let s = Scenario::parse(
-            r#"{"name": "s", "shards": 8,
-                "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
-        )
-        .unwrap();
-        assert!(!s.pipeline, "the boolean key itself stays untouched");
-        assert_eq!(
-            s.pipeline_config(),
-            PipelineConfig::pipelined().with_shards(8)
-        );
-    }
-
-    #[test]
     fn driver_lag_key_implies_the_pipelined_deployment() {
-        // Same convention as `"shards"`: asking for a charge-back lag is
-        // asking for the three-stage pipeline, even at lag 0.
+        // Mirrors the CLI: asking for a charge-back lag is asking for the
+        // pipelined deployment, even at lag 0.
         let s = Scenario::parse(
             r#"{"name": "l", "driver_lag_quanta": 3,
                 "cells": [{"workload": "swaptions", "tool": "laser-detect"}]}"#,
@@ -723,12 +687,8 @@ mod tests {
             (r#"{"name": "x", "threads": 0}"#, "at least 1"),
             (r#"{"name": "x", "threads": -2}"#, "non-negative integer"),
             (r#"{"name": "x", "budget_steps": 0}"#, "at least 1"),
-            (
-                r#"{"name": "x", "shards": 0}"#,
-                "\"shards\" must be at least 1",
-            ),
-            (r#"{"name": "x", "shards": -4}"#, "non-negative integer"),
-            (r#"{"name": "x", "shards": "many"}"#, "non-negative integer"),
+            // The session runs one detector: `shards` is not a key.
+            (r#"{"name": "x", "shards": 2}"#, "unknown key \"shards\""),
             (
                 r#"{"name": "x", "driver_lag_quanta": -1}"#,
                 "non-negative integer",

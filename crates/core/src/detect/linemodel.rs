@@ -102,24 +102,6 @@ impl CacheLineModel {
     pub fn clear(&mut self) {
         self.lines.clear();
     }
-
-    /// Fold another model's per-line state into this one, deterministically:
-    /// the other map is drained into a vector and *sorted by line address*
-    /// before insertion, so the merged table is independent of either map's
-    /// iteration order — the sorted-merge discipline `laser-lint`'s
-    /// `shard-merge` rule enforces for every cross-shard reduction.
-    ///
-    /// Where both models track a line, the absorbed model's (later) access
-    /// wins. Under line-hash shard routing this never happens: a line's
-    /// records all hash to one shard, so the maps are disjoint and absorbing
-    /// every shard reconstructs exactly the inline model.
-    pub fn absorb(&mut self, other: CacheLineModel) {
-        let mut entries: Vec<(Addr, LastAccess)> = other.lines.into_iter().collect(); // lint:allow(hash-iter) — drained into a Vec and sorted by key before any use
-        entries.sort_unstable_by_key(|(addr, _)| *addr);
-        for (addr, last) in entries {
-            self.lines.insert(addr, last);
-        }
-    }
 }
 
 #[cfg(test)]

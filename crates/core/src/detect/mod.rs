@@ -31,10 +31,8 @@ use crate::report::{ContentionKind, ContentionReport, LineReport};
 use linemodel::{CacheLineModel, SharingClass};
 
 /// Cycles a detector with per-record cost `cycles_per_record` spends on a
-/// batch of `n` records: the *single home* of the charge formula. Both
-/// [`Detector::processing_cycles`] and the pipelined session's main-thread
-/// charge go through here — they must agree exactly, or pipelined runs stop
-/// being byte-identical to inline runs at the cycle level.
+/// batch of `n` records: the *single home* of the charge formula, shared by
+/// [`Detector::processing_cycles`] and the session's ledger settlement.
 pub(crate) fn batch_processing_cycles(cycles_per_record: u64, n: usize) -> u64 {
     cycles_per_record * n as u64
 }
@@ -46,12 +44,10 @@ struct PcCounters {
     false_sharing: u64,
 }
 
-/// One source line's aggregated detector state: the unit a sharded detector
-/// stage ships from its workers to the session, and the *single* shape every
-/// report derivation ([`line_rates_from`], [`trigger_pcs_from`],
-/// [`report_lines_from`]) consumes — inline, single-worker and N-shard
-/// sessions all reduce to a `Vec<LineAgg>` before anything user-visible is
-/// computed, which is what makes their outputs byte-identical.
+/// One source line's aggregated detector state: what the session's stage
+/// ships to the machine side inside a quantum ledger, and the *single* shape
+/// every report derivation ([`line_rates_from`], [`trigger_pcs_from`],
+/// [`report_lines_from`]) consumes.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LineAgg {
     /// The source line (the `<unknown>:0` sentinel for PCs with no debug
@@ -69,7 +65,11 @@ pub(crate) struct LineAgg {
 }
 
 /// The live per-line HITM rates derived from aggregates: hottest line first,
-/// ties broken by source location, no rate threshold applied.
+/// ties broken by source location, no rate threshold applied. This is the
+/// detector's intra-run view, carried by
+/// [`LaserEvent::DetectionUpdate`](crate::observe::LaserEvent) so observers
+/// can watch contention build while the run advances; the end-of-run
+/// [`Detector::report`] applies the threshold.
 pub(crate) fn line_rates_from(aggs: &[LineAgg], elapsed_seconds: f64) -> Vec<LineRate> {
     let elapsed = elapsed_seconds.max(1e-9);
     let mut lines: Vec<LineRate> = aggs
@@ -263,22 +263,9 @@ impl Detector {
         }
     }
 
-    /// The live per-line HITM rates, hottest line first (ties broken by
-    /// source location), with no rate threshold applied. This is the
-    /// detector's intra-run view, carried by
-    /// [`LaserEvent::DetectionUpdate`](crate::observe::LaserEvent) so
-    /// observers can watch contention build while the run advances; the
-    /// end-of-run [`Detector::report`] applies the threshold.
-    pub fn line_rates(&self, elapsed_seconds: f64) -> Vec<LineRate> {
-        line_rates_from(&self.line_aggregates(), elapsed_seconds)
-    }
-
-    /// This detector's per-line aggregates, sorted by source location. The
-    /// shardable core of every report derivation: a pipelined session ships
-    /// these from the driver stage's mirror detector inside each charge
-    /// ledger; an inline session consumes its own directly. Both paths feed
-    /// the same pure derivations, which is what keeps the deployment shape
-    /// invisible in the output.
+    /// This detector's per-line aggregates, sorted by source location: the
+    /// input of every report derivation. A session's stage ships these inside
+    /// its quantum ledgers, whichever thread the stage runs on.
     pub(crate) fn line_aggregates(&self) -> Vec<LineAgg> {
         let mut per_line: BTreeMap<SourceLoc, LineAgg> = BTreeMap::new();
         for (&pc, c) in &self.per_pc {
@@ -302,27 +289,6 @@ impl Detector {
             agg.pcs.push(pc);
         }
         per_line.into_values().collect()
-    }
-
-    /// Fold another detector's observations into this one (the report-time
-    /// merge of a sharded pipeline, see the session's shard docs).
-    ///
-    /// Per-PC counters and totals sum; the cache-line model merges through a
-    /// sorted insert ([`CacheLineModel::absorb`]). Under line-hash routing
-    /// the shards' state is disjoint — every line and every PC lives in
-    /// exactly one shard — so absorbing all shards into one reconstructs
-    /// precisely the detector an inline run would hold.
-    pub fn absorb(&mut self, other: Detector) {
-        for (pc, c) in other.per_pc {
-            let e = self.per_pc.entry(pc).or_default();
-            e.records += c.records;
-            e.true_sharing += c.true_sharing;
-            e.false_sharing += c.false_sharing;
-        }
-        self.model.absorb(other.model);
-        self.total_records += other.total_records;
-        self.dropped_non_code += other.dropped_non_code;
-        self.dropped_stack += other.dropped_stack;
     }
 
     /// PCs implicated in false sharing, ordered by decreasing false-sharing
@@ -640,14 +606,14 @@ mod tests {
         let p = program();
         let m = map(&p);
         let mut d = Detector::new(&LaserConfig::default(), &p, &m);
-        assert!(d.line_rates(1.0).is_empty());
+        assert!(line_rates_from(&d.line_aggregates(), 1.0).is_empty());
         let mut records = Vec::new();
         for i in 0..30 {
             records.push(record(p.base_pc(), 0x1000_0000 + (i % 2) * 8, i));
         }
         records.push(record(p.base_pc() + 4, 0x1000_0100, 100));
         d.process(&records);
-        let rates = d.line_rates(2.0);
+        let rates = line_rates_from(&d.line_aggregates(), 2.0);
         // No threshold: both lines are visible, hottest first.
         assert_eq!(rates.len(), 2);
         assert_eq!((rates[0].file.as_str(), rates[0].line), ("det.c", 10));

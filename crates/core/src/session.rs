@@ -25,110 +25,64 @@
 //!
 //! The session advances in *poll quanta*: the application runs
 //! `poll_interval_steps` instructions, then the driver services the PMU and
-//! the detector consumes the new records — exactly the cadence of the
-//! monolithic loop this type was extracted from. Each quantum is reported to
-//! the session's [`Observer`] as a stream of typed
-//! [`LaserEvent`]s, and the observer can cancel
-//! the run mid-flight by returning `ControlFlow::Break` (see
-//! [`crate::observe`]).
+//! the detector consumes the new records. Each quantum is reported to the
+//! session's [`Observer`] as a stream of typed [`LaserEvent`]s, and the
+//! observer can cancel the run mid-flight by returning `ControlFlow::Break`
+//! (see [`crate::observe`]).
 //!
-//! # Pipelined execution
+//! # One engine, two deployments
 //!
-//! The paper's central performance claim is that detection runs
-//! *concurrently* with the application: the PMU/driver/detector work rides
-//! alongside execution instead of interrupting it.
-//! [`SessionBuilder::pipeline`] deploys the session as a **three-stage
-//! pipeline** — machine | driver | detector shards. The machine thread does
-//! nothing but `run_quantum` and enqueue each quantum's raw HITM batch; a
-//! dedicated driver-stage thread services the PMU (sampling, imprecision,
-//! record copy) and routes the sampled records over the detector shard
-//! workers; each shard consumes its sub-batches through a bounded
-//! double-buffered channel (`laser_pebs::channel`).
+//! Every session runs the same engine. The machine runs a quantum and hands
+//! its raw HITM batch to the *stage* — the driver (PMU sampling, imprecision,
+//! record copy) and the one detector. The stage turns the batch into a
+//! *quantum ledger*: the driver's interrupt/copy charges as a value
+//! ([`laser_pebs::ChargeLedger`]), the number of records the detector
+//! consumed, and, when the machine side needs them, the detector's per-line
+//! aggregates. The machine *settles* each ledger at a quantum boundary: it
+//! applies the charges, prices the detector's work, emits the batch's events
+//! and evaluates the repair trigger. Charge-back, detector pricing, event
+//! emission and the repair trigger therefore have exactly one implementation.
 //!
-//! The driver's overhead charge-back is latency-tolerant: the driver stage
-//! computes each quantum's interrupt/copy charge as a pure function of its
-//! batch (a [`laser_pebs::ChargeLedger`]) and sends it back on a second
-//! channel, and the machine applies pending ledgers at fixed quantum
-//! boundaries — a bounded-lag credit scheme controlled by
-//! [`PipelineConfig::driver_lag_quanta`]:
+//! The deployment only decides where the stage runs and when its ledger
+//! settles:
 //!
-//! * **lag = 0** (the default): the ledger for quantum `k` is applied at
-//!   boundary `k`, before quantum `k + 1` runs — the same machine point an
-//!   inline run charges at. Charges within a ledger commute (the scheduler's
-//!   pick is a pure function of the final per-core clocks), so a lag=0
-//!   pipelined run is **byte-identical** to its inline equivalent — outcome
-//!   and event stream alike — while routing, record copy and detection still
-//!   overlap off the machine thread.
-//! * **lag ≥ 1**: the ledger for quantum `k` is applied at boundary
-//!   `k + lag`, so the machine runs quantum `k + 1` while the driver stage
-//!   is still servicing quantum `k`. Deferring charges moves the cores'
-//!   clocks relative to an inline run, which perturbs the interleaving and
-//!   hence the HITM stream — like socket routing, lag ≥ 1 is
-//!   **deterministic** (byte-for-byte repeatable for a fixed configuration)
-//!   but *not* inline-identical.
+//! * **inline** (the default): the stage runs on the calling thread and each
+//!   ledger settles at the boundary of its own quantum.
+//! * **pipelined** ([`SessionBuilder::pipeline`]): the stage runs on one
+//!   worker thread, fed through a bounded `std::sync::mpsc::sync_channel`, so
+//!   sampling and detection overlap the machine. The ledger for quantum `k`
+//!   settles at boundary `k + lag`, where the lag is
+//!   [`PipelineConfig::driver_lag_quanta`]:
+//!   * **lag = 0** (the default): the machine waits for each quantum's ledger
+//!     before running the next quantum, so it settles at the same point an
+//!     inline run does. Charges within a ledger commute (the scheduler's pick
+//!     is a pure function of the final per-core clocks), so a lag-0 pipelined
+//!     run is **byte-identical** to inline — outcome and event stream alike.
+//!   * **lag ≥ 1**: the machine runs quantum `k + 1` while the stage is still
+//!     servicing quantum `k`. Deferring the charges moves the cores' clocks
+//!     relative to an inline run, which perturbs the interleaving and hence
+//!     the HITM stream: lag ≥ 1 is **deterministic** (byte-for-byte
+//!     repeatable for a fixed configuration) but *not* inline-identical.
 //!
-//! The repair decision is pre-armed off the ledger: while the session is
-//! observed or repair is armed, the driver stage mirrors the full record
-//! stream through its own [`Detector`] and ships the per-line aggregates
-//! inside each ledger, so the machine evaluates the trigger (and the
-//! observer's `DetectionUpdate` rates) straight from the ledger — armed
-//! quanta no longer round-trip to the shard workers.
-//!
-//! The one semantic difference at lag = 0 is cancellation latency: deferred
-//! `RecordBatch`/`DetectionUpdate` events are delivered at the boundary
-//! where their ledger settles, so a `Break` returned against them stops the
-//! session at that boundary — the same boundary as inline, with the same
-//! stream bytes.
-//!
-//! # Sharded detection
-//!
-//! On large multi-socket parts a single detector worker becomes the
-//! bottleneck exactly where the paper's always-on claim matters most.
-//! [`PipelineConfig::with_shards`] splits the pipelined detector stage into
-//! N workers, each fed through its own bounded `laser_pebs::channel` and
-//! each holding its own [`Detector`]. Every batch the driver stage samples
-//! is routed across the shards by [`ShardRouting`]:
-//!
-//! * [`ShardRouting::LineHash`] (the default) hashes each record's cache
-//!   line, so all records for one line — the unit of every per-line
-//!   aggregate and of the cache-line model's state — land in the same
-//!   shard. Shard states stay pairwise disjoint, and merging them
-//!   reconstructs exactly the state one inline detector would hold: a
-//!   line-hash sharded run is **byte-identical** to the inline and
-//!   single-worker runs for every shard count.
-//! * [`ShardRouting::Socket`] routes by the record's originating socket,
-//!   modelling the realistic deployment of one detector core per socket
-//!   consuming only its socket's PEBS stream. Routing is a pure function of
-//!   the record, so socket-sharded runs are deterministic (repeatable
-//!   byte-for-byte), but a line touched from two sockets splits its record
-//!   sequence across shards, so the classification may legitimately differ
-//!   from the inline path's.
-//!
-//! Reports never expose the sharding: live rates and trigger decisions come
-//! from the driver stage's mirror detector (which sees the full record
-//! stream in driver order, exactly as an inline detector would), and at
-//! `finish` the shard detectors are folded back into one
-//! ([`Detector::absorb`]) before the final flush and report. Ledgers settle
-//! in quantum order, so the event stream, too, is independent of the shard
-//! count.
+//! A pipelined session delivers a batch's `RecordBatch`/`DetectionUpdate`
+//! events at the boundary where its ledger settles, so a `Break` returned
+//! against them stops the session at that boundary — at lag 0 the same
+//! boundary as inline, with the same stream bytes.
 
 use std::collections::VecDeque;
 use std::fmt;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use laser_isa::program::Pc;
 use laser_machine::machine::MachineError;
-use laser_machine::{
-    CoreId, HitmEvent, Machine, MachineConfig, RunStatus, Topology, WorkloadImage,
-};
-use laser_pebs::channel::{self, OverflowPolicy, SendOutcome};
+use laser_machine::{CoreId, HitmEvent, Machine, MachineConfig, RunStatus, WorkloadImage};
 use laser_pebs::driver::{ChargeLedger, Driver};
 use laser_pebs::imprecision::ImprecisionModel;
 use laser_pebs::pmu::{Pmu, PmuConfig};
-use laser_pebs::record::HitmRecord;
 
 use crate::config::LaserConfig;
 use crate::detect::{self, Detector, LineAgg};
@@ -148,124 +102,38 @@ pub enum SessionStatus {
     Stopped(StopReason),
 }
 
-/// How records are distributed over a sharded detector stage (see the
-/// [module docs](self) on sharded detection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardRouting {
-    /// Route by a hash of the record's cache line (the default). All records
-    /// for one line land in one shard, so shard states are disjoint and the
-    /// merged output is byte-identical to the inline path for every shard
-    /// count.
-    #[default]
-    LineHash,
-    /// Route by the record's originating socket — the paper-realistic
-    /// one-detector-core-per-socket deployment. Deterministic, but a line
-    /// touched from several sockets splits across shards, so classification
-    /// may differ from the inline path.
-    Socket,
-}
-
-impl ShardRouting {
-    /// The stable CLI/scenario key: `line` or `socket`.
-    pub fn key(self) -> &'static str {
-        match self {
-            ShardRouting::LineHash => "line",
-            ShardRouting::Socket => "socket",
-        }
-    }
-
-    /// Parse a CLI/scenario key (the inverse of [`ShardRouting::key`]).
-    pub fn parse(s: &str) -> Option<ShardRouting> {
-        match s {
-            "line" => Some(ShardRouting::LineHash),
-            "socket" => Some(ShardRouting::Socket),
-            _ => None,
-        }
-    }
-}
-
-/// How a session's detector stage is deployed (see the
-/// [module docs](self) on pipelined execution and sharded detection).
-///
-/// A worked sharded session — four line-hash shards behind lossless
-/// channels, byte-identical to the same run inline:
+/// Where a session's driver+detector stage runs (see the
+/// [module docs](self)).
 ///
 /// ```no_run
-/// use laser_core::{Laser, LaserConfig, PipelineConfig, ShardRouting};
+/// use laser_core::{Laser, LaserConfig, PipelineConfig};
 /// # fn image() -> laser_machine::WorkloadImage { unimplemented!() }
 ///
-/// let sharded = Laser::builder()
+/// // Overlap the stage with the machine, settling each ledger one quantum
+/// // late: deterministic, but not byte-identical to inline.
+/// let lagged = Laser::builder()
 ///     .config(LaserConfig::detection_only())
-///     .pipeline_config(
-///         PipelineConfig::pipelined()
-///             .with_shards(4)
-///             .with_routing(ShardRouting::LineHash),
-///     )
+///     .pipeline_config(PipelineConfig::pipelined().with_driver_lag(1))
 ///     .build(&image())
 ///     .run()
 ///     .unwrap();
-///
-/// let inline = Laser::builder()
-///     .config(LaserConfig::detection_only())
-///     .build(&image())
-///     .run()
-///     .unwrap();
-/// assert_eq!(sharded.report, inline.report);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Run the detector stage on worker threads, overlapping record
-    /// processing with the next quantum of application execution.
+    /// Run the stage on a worker thread, overlapping sampling and detection
+    /// with the next quantum of application execution.
     pub enabled: bool,
-    /// Capacity of each shard's record channel, in batches (clamped to at
-    /// least 1). The default of 2 is the classic double buffer: one batch in
-    /// flight at the detector, one staged behind it.
-    pub capacity: usize,
-    /// When a shard lags `capacity` batches behind, drop the offered
-    /// sub-batch — modelling a PEBS buffer overflow, surfaced through
-    /// `DriverStats::records_dropped` — instead of blocking the driver
-    /// stage. Lossy delivery bounds stage latency but forfeits the
-    /// byte-identity guarantee; leave it off where determinism matters.
-    ///
-    /// Lossy mode only has teeth while the driver stage's mirror detector is
-    /// retired — i.e. on unobserved sessions once repair has attached or is
-    /// disabled. While the mirror is live its aggregates must see every
-    /// record the shards see, so delivery stays lossless and
-    /// `records_dropped` stays 0.
-    pub lossy: bool,
-    /// Number of detector worker shards (clamped to at least 1). Each shard
-    /// is its own thread with its own channel and [`Detector`]; 1 is the
-    /// single-worker pipeline of PR 4.
-    pub shards: usize,
-    /// How records are distributed over the shards.
-    pub routing: ShardRouting,
-    /// How many quantum boundaries the driver stage's charge ledger may lag
-    /// behind the batch it accounts for (the bounded-lag credit scheme of
-    /// the [module docs](self)). At the default of 0 the machine blocks on
+    /// How many quantum boundaries a pipelined stage's ledger may lag behind
+    /// the batch it accounts for. At the default of 0 the machine waits for
     /// each quantum's ledger before running the next quantum, and the run is
     /// byte-identical to inline; at lag ≥ 1 the machine overlaps execution
-    /// with the driver stage — deterministic, but not inline-identical.
+    /// with the stage — deterministic, but not inline-identical.
     pub driver_lag_quanta: usize,
 }
 
-impl Default for PipelineConfig {
-    /// Pipelining off; capacity 2 (double buffer); lossless; one shard,
-    /// line-hash routed; charge-back lag 0 (byte-identical to inline).
-    fn default() -> Self {
-        PipelineConfig {
-            enabled: false,
-            capacity: 2,
-            lossy: false,
-            shards: 1,
-            routing: ShardRouting::LineHash,
-            driver_lag_quanta: 0,
-        }
-    }
-}
-
 impl PipelineConfig {
-    /// The standard pipelined deployment: worker-thread detector stage behind
-    /// a lossless double-buffered channel.
+    /// The standard pipelined deployment: the stage on a worker thread,
+    /// ledgers settled at lag 0.
     pub fn pipelined() -> Self {
         PipelineConfig {
             enabled: true,
@@ -273,36 +141,9 @@ impl PipelineConfig {
         }
     }
 
-    /// Override the per-shard record-channel capacity (builder-style).
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
-        self
-    }
-
-    /// Switch between lossless backpressure and lossy overflow
-    /// (builder-style).
-    pub fn with_lossy(mut self, lossy: bool) -> Self {
-        self.lossy = lossy;
-        self
-    }
-
-    /// Set the detector shard count, clamped to at least 1 (builder-style).
-    /// Output is byte-identical across shard counts under the default
-    /// line-hash routing.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Set the shard routing policy (builder-style).
-    pub fn with_routing(mut self, routing: ShardRouting) -> Self {
-        self.routing = routing;
-        self
-    }
-
     /// Set the charge-back lag in quanta (builder-style). 0 (the default)
     /// keeps the run byte-identical to inline; lag ≥ 1 overlaps the machine
-    /// and driver stages, deterministic but not inline-identical (see the
+    /// and the stage, deterministic but not inline-identical (see the
     /// [module docs](self)).
     pub fn with_driver_lag(mut self, lag: usize) -> Self {
         self.driver_lag_quanta = lag;
@@ -369,17 +210,16 @@ impl SessionBuilder {
         self
     }
 
-    /// Run the detector stage on a worker thread, overlapped with
+    /// Run the driver+detector stage on a worker thread, overlapped with
     /// application execution (default: off). Shorthand for
-    /// [`SessionBuilder::pipeline_config`] with the standard double-buffered
-    /// lossless deployment; the results are byte-identical either way, only
-    /// the wall-clock changes.
+    /// [`SessionBuilder::pipeline_config`] at lag 0; the results are
+    /// byte-identical either way, only the wall-clock changes.
     pub fn pipeline(mut self, enabled: bool) -> Self {
         self.pipeline.enabled = enabled;
         self
     }
 
-    /// Set the full pipeline deployment (capacity, overflow policy).
+    /// Set the full pipeline deployment (worker thread, charge-back lag).
     pub fn pipeline_config(mut self, pipeline: PipelineConfig) -> Self {
         self.pipeline = pipeline;
         self
@@ -448,45 +288,32 @@ impl SessionBuilder {
             },
             model,
         );
-        let driver = Driver::new(pmu, config.driver);
-        let observed = observer.is_some();
-        let (driver, detector, pipe) = if pipeline.enabled {
-            let detectors = (0..pipeline.shards.max(1))
-                .map(|_| Detector::new(&config, program, image.memory_map()))
-                .collect();
-            // The mirror detector feeds the machine-side repair trigger and
-            // the observer's DetectionUpdate rates without a shard
-            // round-trip; it is only carried while someone needs its
-            // aggregates.
-            let mirror = (observed || config.enable_repair)
-                .then(|| Detector::new(&config, program, image.memory_map()));
-            let topology = machine.topology().clone();
-            let stage = PipeStage::spawn(driver, mirror, detectors, pipeline, topology, num_cores);
-            (None, None, Some(stage))
+        let stage = Stage {
+            driver: Driver::new(pmu, config.driver),
+            detector: Detector::new(&config, program, image.memory_map()),
+            num_cores,
+            busy: None,
+        };
+        let mode = if pipeline.enabled {
+            Mode::Piped(PipeStage::spawn(stage, pipeline.driver_lag_quanta))
         } else {
-            (
-                Some(driver),
-                Some(Detector::new(&config, program, image.memory_map())),
-                None,
-            )
+            Mode::Inline(Box::new(stage))
         };
 
         LaserSession {
             config,
             machine,
-            driver,
-            detector,
-            pipe,
-            observed,
+            mode,
+            observed: observer.is_some(),
             observer: observer.unwrap_or_else(|| Box::new(NullObserver)),
             workload: image.name().to_string(),
             num_cores,
             max_steps,
             detector_cycles: 0,
             reported_dropped: 0,
+            last_aggs: Vec::new(),
             repair: None,
             machine_busy: Duration::ZERO,
-            occupancy: None,
         }
     }
 }
@@ -494,209 +321,247 @@ impl SessionBuilder {
 /// Cumulative busy time of each stage of a pipelined session, measured on
 /// the stage threads themselves. Only meaningful relative to the run's wall
 /// clock: `busy / wall` is the stage's occupancy, and the largest fraction
-/// names the pipeline's bottleneck. `detector_busy` is the busiest shard's
-/// time (the bottleneck shard), not the sum over shards.
+/// names the pipeline's bottleneck.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageOccupancy {
     /// Time the machine thread spent inside `run_quantum`.
     pub machine_busy: Duration,
-    /// Time the driver-stage thread spent servicing batches (PMU sampling,
-    /// record copy, mirror detection, routing).
+    /// Time the stage thread spent in the driver: PMU sampling, imprecision
+    /// and record copy.
     pub driver_busy: Duration,
-    /// Time the busiest detector shard spent processing records.
+    /// Time the stage thread spent in the detector, aggregates included.
     pub detector_busy: Duration,
 }
 
-/// A unit of work for one detector shard: process one routed sub-batch.
-struct DetectorJob {
-    records: Vec<HitmRecord>,
-}
-
-/// A detector shard's worker loop: consume jobs in FIFO order until the
-/// channel closes, then hand the detector (and the shard's busy time) back
-/// to the session.
-fn detector_worker(
-    mut detector: Detector,
-    jobs: channel::Receiver<DetectorJob>,
-) -> (Detector, Duration) {
-    let mut busy = Duration::ZERO;
-    while let Some(job) = jobs.recv() {
-        let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-        detector.process(&job.records);
-        busy += start.elapsed();
-    }
-    (detector, busy)
-}
-
-/// A unit of work for the driver stage.
-enum DriverJob {
+/// A unit of work for the stage.
+enum Job {
     /// One quantum's raw HITM batch, exactly as `run_quantum` yielded it.
-    Batch(Vec<HitmEvent>),
-    /// Repair attached on the machine thread; an unobserved session no
-    /// longer needs the mirror detector's aggregates, so retire it.
-    RepairAttached,
-    /// End of run: flush the PEBS buffers and reply with the final records.
-    Finish,
+    Batch {
+        events: Vec<HitmEvent>,
+        /// Whether the machine side needs the detector's per-line aggregates
+        /// after this batch: while the session is observed (for
+        /// `DetectionUpdate`), or while repair is enabled but not yet
+        /// attached (for the trigger).
+        needs_aggs: bool,
+    },
+    /// End of run: drain what is still sitting in the PEBS buffers. The
+    /// flush takes no interrupt, so its ledger carries no driver charges.
+    Flush,
 }
 
-/// What the driver stage sends back for each job, on the second channel.
-/// Everything the machine needs at the quantum boundary rides in here, so a
-/// boundary is a single `recv` — no per-shard round-trips.
+/// What the stage hands back for one batch: everything the machine needs to
+/// settle the quantum at its boundary.
 struct QuantumLedger {
     /// The batch's interrupt/copy overhead, computed as a pure function of
     /// the batch by `Driver::ingest_deferred`.
     charges: ChargeLedger,
-    /// Sampled records delivered to the detector shards (after any lossy
-    /// drops), priced on the machine at the inline per-record cost.
+    /// Sampled records the detector consumed, priced on the machine at the
+    /// per-record detector cost.
     records: usize,
     /// Cumulative `DriverStats::events_dropped` as of this batch, for the
     /// observer's `RecordBatch` drop watermark.
     events_dropped: u64,
-    /// The mirror detector's per-line aggregates after this batch, when the
-    /// mirror is live (observed or repair armed).
+    /// The detector's per-line aggregates after this batch, when the job
+    /// asked for them (never for the final flush).
     aggs: Option<Vec<LineAgg>>,
-    /// The final flush's records (the reply to [`DriverJob::Finish`] only).
-    flushed: Vec<HitmRecord>,
 }
 
-/// The driver stage: owns the [`Driver`] (PMU + imprecision + overhead
-/// accounting), the optional mirror [`Detector`], and the shard job senders.
-/// Runs on its own thread; for each batch it computes the charge ledger,
-/// sends it back to the machine first, then dispatches the routed sub-batches
-/// to the shards (so the machine is never blocked on shard backpressure).
-struct DriverStageWorker {
+/// The driver and the one detector: everything between a quantum's raw HITM
+/// batch and the ledger the machine settles. Runs on the calling thread of
+/// an inline session and on the worker thread of a pipelined one.
+#[derive(Debug)]
+struct Stage {
     driver: Driver,
-    mirror: Option<Detector>,
-    shard_jobs: Vec<channel::Sender<DetectorJob>>,
-    routing: ShardRouting,
-    topology: Topology,
+    detector: Detector,
     num_cores: usize,
-    lossy: bool,
+    /// Driver and detector busy time, measured only on a pipelined stage
+    /// (`machine_busy` unused here); inline runs skip the measurement.
+    busy: Option<StageOccupancy>,
 }
 
-impl DriverStageWorker {
-    /// Split a batch into one (possibly empty) sub-batch per shard under the
-    /// session's routing policy, preserving the driver's delivery order
-    /// within each shard. Line-hash routing keys on the cache line so a
-    /// line's whole record sequence stays in one shard; socket routing keys
-    /// on the originating core's socket. Both are pure functions of the
-    /// record (and the fixed topology), so routing is deterministic.
-    fn route(&self, records: Vec<HitmRecord>) -> Vec<Vec<HitmRecord>> {
-        let shards = self.shard_jobs.len();
-        if shards == 1 {
-            return vec![records];
+impl Stage {
+    /// Sample the job's batch (or drain the buffers), detect on the
+    /// resulting records, and hand the ledger to `reply` as soon as it is
+    /// complete. A job that needs no aggregates is answered *before*
+    /// detection, so a pipelined machine never waits on detector work whose
+    /// result it does not read; the detector's state only becomes visible
+    /// again through a later ledger's aggregates or the final report.
+    fn service<R>(&mut self, job: Job, reply: impl FnOnce(QuantumLedger) -> R) -> R {
+        let start = self.busy.is_some().then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        let (charges, needs_aggs) = match job {
+            Job::Batch { events, needs_aggs } => (
+                self.driver.ingest_deferred(events, self.num_cores),
+                needs_aggs,
+            ),
+            Job::Flush => {
+                self.driver.flush();
+                (ChargeLedger::default(), false)
+            }
+        };
+        let records = self.driver.read_records();
+        let mut ledger = QuantumLedger {
+            charges,
+            records: records.len(),
+            events_dropped: self.driver.stats().events_dropped,
+            aggs: None,
+        };
+        let split = start.map(|_| Instant::now()); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        let replied = if needs_aggs {
+            self.detector.process(&records);
+            ledger.aggs = Some(self.detector.line_aggregates());
+            reply(ledger)
+        } else {
+            let replied = reply(ledger);
+            self.detector.process(&records);
+            replied
+        };
+        if let (Some(busy), Some(start), Some(split)) = (self.busy.as_mut(), start, split) {
+            busy.driver_busy += split - start;
+            busy.detector_busy += split.elapsed();
         }
-        let mut parts: Vec<Vec<HitmRecord>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in records {
-            let shard = match self.routing {
-                // Fibonacci hashing over the line address: cheap, stable
-                // across platforms, and spreads consecutive lines across
-                // shards.
-                ShardRouting::LineHash => {
-                    (((r.data_addr >> 6).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize)
-                        % shards
+        replied
+    }
+}
+
+/// The worker end of a pipelined session: the stage's job and ledger
+/// channels, the worker thread, and the bounded-lag settlement bookkeeping.
+struct PipeStage {
+    jobs: mpsc::SyncSender<Job>,
+    /// One reply per job, in job order. A stage that panics sends its panic
+    /// payload instead — possibly after its last reply, when the panic hit
+    /// an already-answered job's detection — so the session re-raises the
+    /// real diagnostic.
+    ledgers: mpsc::Receiver<thread::Result<QuantumLedger>>,
+    worker: JoinHandle<Stage>,
+    /// The configured `driver_lag_quanta`.
+    lag: u64,
+    /// The boundary index the next quantum will settle at.
+    next_quantum: u64,
+    /// Boundary indices of batches whose ledgers have not settled yet, in
+    /// send order. The front settles once `front + lag <= current boundary`.
+    outstanding: VecDeque<u64>,
+}
+
+impl PipeStage {
+    fn spawn(mut stage: Stage, lag: usize) -> Self {
+        stage.busy = Some(StageOccupancy::default());
+        // The job channel holds at least lag + 1 quanta so a full credit
+        // window never blocks the machine on its own backpressure.
+        let (jobs, jobs_rx) = mpsc::sync_channel::<Job>(2.max(lag + 1));
+        let (ledgers_tx, ledgers) = mpsc::channel();
+        let worker = thread::spawn(move || {
+            let served = panic::catch_unwind(AssertUnwindSafe(|| {
+                // Ends when the session drops its job sender. A dead ledger
+                // channel means the session was dropped mid-run.
+                for job in jobs_rx {
+                    if !stage.service(job, |ledger| ledgers_tx.send(Ok(ledger)).is_ok()) {
+                        break;
+                    }
                 }
-                ShardRouting::Socket => self.topology.socket_of(r.core.0, self.num_cores) % shards,
-            };
-            parts[shard].push(r);
+            }));
+            if let Err(payload) = served {
+                let _ = ledgers_tx.send(Err(payload));
+            }
+            stage
+        });
+        PipeStage {
+            jobs,
+            ledgers,
+            worker,
+            lag: lag as u64,
+            next_quantum: 0,
+            outstanding: VecDeque::new(),
         }
-        parts
     }
 
-    /// The stage's worker loop: consume jobs in FIFO order until the channel
-    /// closes, then hand the driver (and the stage's busy time) back.
-    fn run(
-        mut self,
-        jobs: channel::Receiver<DriverJob>,
-        ledgers: mpsc::Sender<QuantumLedger>,
-    ) -> (Driver, Duration) {
-        let mut busy = Duration::ZERO;
-        while let Some(job) = jobs.recv() {
-            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
-            match job {
-                DriverJob::Batch(events) => {
-                    let charges = self.driver.ingest_deferred(events, self.num_cores);
-                    let records = self.driver.read_records();
-                    if let Some(mirror) = self.mirror.as_mut() {
-                        // The mirror sees the full batch in driver order —
-                        // exactly what an inline detector would see — so its
-                        // aggregates are the inline aggregates.
-                        mirror.process(&records);
-                    }
-                    let aggs = self.mirror.as_ref().map(|m| m.line_aggregates());
-                    let parts = self.route(records);
-                    // Decide lossy drops before the ledger goes out, so the
-                    // kept count it reports (and the machine prices) is
-                    // final. Drops are only allowed while the mirror is
-                    // retired: the mirror must see every record the shards
-                    // see, or live rates and the final report would diverge.
-                    let mut kept_parts: Vec<Option<Vec<HitmRecord>>> =
-                        Vec::with_capacity(parts.len());
-                    let mut kept = 0usize;
-                    let mut dropped = 0u64;
-                    for (shard, part) in parts.into_iter().enumerate() {
-                        if part.is_empty() {
-                            kept_parts.push(None);
-                            continue;
-                        }
-                        if self.lossy && self.mirror.is_none() && self.shard_jobs[shard].is_full() {
-                            // The shard has lagged a full channel behind:
-                            // model a PEBS overflow. The detector never sees
-                            // the sub-batch, so its cost is not charged
-                            // either.
-                            dropped += part.len() as u64;
-                            kept_parts.push(None);
-                            continue;
-                        }
-                        kept += part.len();
-                        kept_parts.push(Some(part));
-                    }
-                    if dropped > 0 {
-                        self.driver.note_lagging_drops(dropped);
-                    }
-                    // Ledger first: the machine can settle the boundary while
-                    // this stage is still handing sub-batches to the shards.
-                    // A dead ledger channel just means the session was
-                    // dropped mid-run; keep draining so the jobs channel
-                    // closes cleanly.
-                    let _ = ledgers.send(QuantumLedger {
-                        charges,
-                        records: kept,
-                        events_dropped: self.driver.stats().events_dropped,
-                        aggs,
-                        flushed: Vec::new(),
-                    });
-                    for (shard, part) in kept_parts.into_iter().enumerate() {
-                        if let Some(records) = part {
-                            let outcome = self.shard_jobs[shard].send(DetectorJob { records });
-                            debug_assert_eq!(
-                                outcome,
-                                SendOutcome::Sent,
-                                "shard worker outlives the driver stage"
-                            );
-                        }
-                    }
-                }
-                DriverJob::RepairAttached => {
-                    self.mirror = None;
-                }
-                DriverJob::Finish => {
-                    self.driver.flush();
-                    let flushed = self.driver.read_records();
-                    let _ = ledgers.send(QuantumLedger {
-                        charges: ChargeLedger::default(),
-                        records: 0,
-                        events_dropped: self.driver.stats().events_dropped,
-                        aggs: None,
-                        flushed,
-                    });
-                    busy += start.elapsed();
+    /// Hand the stage `job` (if any) and collect every ledger that has come
+    /// due at this quantum's boundary (front quantum + lag ≤ boundary), in
+    /// quantum order. `drain` settles everything outstanding, lag or no lag.
+    fn exchange(&mut self, job: Option<Job>, drain: bool) -> Vec<QuantumLedger> {
+        let boundary = if drain {
+            u64::MAX
+        } else {
+            self.next_quantum += 1;
+            self.next_quantum - 1
+        };
+        if let Some(job) = job {
+            // The worker only stops receiving once this sender is dropped or
+            // after queueing its panic payload, which the `recv` below then
+            // re-raises.
+            let _ = self.jobs.send(job);
+            self.outstanding.push_back(boundary);
+        }
+        let mut due = Vec::new();
+        while matches!(self.outstanding.front(), Some(&q) if q.saturating_add(self.lag) <= boundary)
+        {
+            self.outstanding.pop_front();
+            due.push(self.recv());
+        }
+        due
+    }
+
+    /// Block for the stage's next ledger, re-raising the stage's own panic
+    /// if it died: the campaign runner's per-cell `catch_unwind` then records
+    /// the true message.
+    fn recv(&self) -> QuantumLedger {
+        // Yield-spin before parking: at lag 0 the machine waits for the
+        // stage once per quantum, and a bounded yield loop is much cheaper
+        // than a futex park/unpark round-trip — on a single hardware thread
+        // each yield hands the timeslice straight to the stage, and on a
+        // multi-core host the ledger usually lands within a few yields.
+        let mut reply = None;
+        for _ in 0..64 {
+            match self.ledgers.try_recv() {
+                Err(mpsc::TryRecvError::Empty) => thread::yield_now(),
+                received => {
+                    reply = Some(received.map_err(|_| mpsc::RecvError));
                     break;
                 }
             }
-            busy += start.elapsed();
         }
-        (self.driver, busy)
+        match reply.unwrap_or_else(|| self.ledgers.recv()) {
+            Ok(Ok(ledger)) => ledger,
+            Ok(Err(payload)) => panic::resume_unwind(payload),
+            // The worker holds its ledger sender until it has replied to
+            // every job or queued its panic, so this is a protocol bug.
+            Err(_) => panic!("laser stage worker exited with batches outstanding"), // lint:allow(panic) — a worker exiting with replies owed is a protocol bug worth crashing the cell
+        }
+    }
+
+    /// Close the job channel and reclaim the stage. Call once every
+    /// outstanding ledger has settled: anything still queued on the ledger
+    /// channel is then a panic the stage hit after its last reply.
+    fn join(self) -> Stage {
+        drop(self.jobs);
+        let stage = match self.worker.join() {
+            Ok(stage) => stage,
+            Err(payload) => panic::resume_unwind(payload),
+        };
+        if let Ok(Err(payload)) = self.ledgers.try_recv() {
+            panic::resume_unwind(payload);
+        }
+        stage
+    }
+}
+
+/// Where a session's stage runs.
+enum Mode {
+    /// On the calling thread; each ledger settles at its own boundary.
+    Inline(Box<Stage>),
+    /// On a worker thread; each ledger settles `lag` boundaries later.
+    Piped(PipeStage),
+}
+
+impl Mode {
+    /// Hand the stage `job` (if any) and return the ledgers due now.
+    fn exchange(&mut self, job: Option<Job>, drain: bool) -> Vec<QuantumLedger> {
+        match self {
+            Mode::Inline(stage) => job
+                .map(|job| stage.service(job, |ledger| ledger))
+                .into_iter()
+                .collect(),
+            Mode::Piped(pipe) => pipe.exchange(job, drain),
+        }
     }
 }
 
@@ -708,94 +573,12 @@ struct DueEmission {
     aggs: Option<Vec<LineAgg>>,
 }
 
-/// The running half of a pipelined session: the stage threads' endpoints and
-/// the bounded-lag settlement bookkeeping.
-struct PipeStage {
-    jobs: channel::Sender<DriverJob>,
-    ledgers: mpsc::Receiver<QuantumLedger>,
-    driver_worker: JoinHandle<(Driver, Duration)>,
-    shard_workers: Vec<JoinHandle<(Detector, Duration)>>,
-    /// The configured `driver_lag_quanta`.
-    lag: u64,
-    /// The boundary index the next `advance` call will run.
-    next_quantum: u64,
-    /// Boundary indices of batches whose ledgers have not settled yet, in
-    /// send order. The front settles once `front + lag <= current boundary`.
-    outstanding: VecDeque<u64>,
-    /// The mirror aggregates as of the last settled ledger that carried
-    /// them: what the armed repair trigger evaluates between batches.
-    last_aggs: Vec<LineAgg>,
-}
-
-impl PipeStage {
-    fn spawn(
-        driver: Driver,
-        mirror: Option<Detector>,
-        detectors: Vec<Detector>,
-        config: PipelineConfig,
-        topology: Topology,
-        num_cores: usize,
-    ) -> Self {
-        // Shard channels are always Backpressure: lossy drops are decided by
-        // the driver stage's `is_full` probe (it is the only producer, so
-        // the probe cannot race), which keeps delivery lossless whenever the
-        // mirror detector is live.
-        let mut shard_jobs = Vec::with_capacity(detectors.len());
-        let mut shard_workers = Vec::with_capacity(detectors.len());
-        for (i, detector) in detectors.into_iter().enumerate() {
-            let (jobs_tx, jobs_rx) =
-                channel::bounded(config.capacity, OverflowPolicy::Backpressure);
-            let worker = std::thread::Builder::new()
-                .name(format!("laser-detector-{i}"))
-                .spawn(move || detector_worker(detector, jobs_rx))
-                .expect("spawn detector stage worker"); // lint:allow(panic) — thread spawn fails only on resource exhaustion; there is no graceful fallback
-            shard_jobs.push(jobs_tx);
-            shard_workers.push(worker);
-        }
-        // The batch channel must hold at least lag + 1 quanta so a full
-        // credit window never blocks the machine on its own backpressure.
-        let depth = config.capacity.max(config.driver_lag_quanta + 1);
-        let (jobs, jobs_rx) = channel::bounded(depth, OverflowPolicy::Backpressure);
-        let (ledgers_tx, ledgers) = mpsc::channel();
-        let stage = DriverStageWorker {
-            driver,
-            mirror,
-            shard_jobs,
-            routing: config.routing,
-            topology,
-            num_cores,
-            lossy: config.lossy,
-        };
-        let driver_worker = std::thread::Builder::new()
-            .name("laser-driver".into())
-            .spawn(move || stage.run(jobs_rx, ledgers_tx))
-            .expect("spawn driver stage worker"); // lint:allow(panic) — thread spawn fails only on resource exhaustion; there is no graceful fallback
-        PipeStage {
-            jobs,
-            ledgers,
-            driver_worker,
-            shard_workers,
-            lag: config.driver_lag_quanta as u64,
-            next_quantum: 0,
-            outstanding: VecDeque::new(),
-            last_aggs: Vec::new(),
-        }
-    }
-}
-
 /// An in-flight LASER run: application, driver, detector, observer and
 /// (optionally) repair, as one owned value.
 pub struct LaserSession {
     config: LaserConfig,
     machine: Machine,
-    /// The driver, when it runs inline. `None` while a pipelined session's
-    /// driver stage owns it; [`LaserSession::finish`] reclaims it.
-    driver: Option<Driver>,
-    /// The detector, when it runs inline. `None` while a pipelined session's
-    /// worker owns it; [`LaserSession::finish`] reclaims it.
-    detector: Option<Detector>,
-    /// The worker-thread driver/detector stages of a pipelined session.
-    pipe: Option<PipeStage>,
+    mode: Mode,
     /// Whether an observer was attached at build time. Events are not even
     /// constructed when this is false, so unobserved runs (every legacy entry
     /// point) pay nothing for the event stream.
@@ -807,12 +590,13 @@ pub struct LaserSession {
     detector_cycles: u64,
     /// PMU drop count already reported through `RecordBatch` events.
     reported_dropped: u64,
+    /// The detector's aggregates as of the last settled ledger that carried
+    /// them: what the armed repair trigger evaluates at each boundary.
+    last_aggs: Vec<LineAgg>,
     repair: Option<RepairSummary>,
     /// Wall time the machine thread spent inside `run_quantum` (pipelined
     /// sessions only; inline runs skip the measurement entirely).
     machine_busy: Duration,
-    /// Per-stage busy times, filled in when a pipelined session winds down.
-    occupancy: Option<StageOccupancy>,
 }
 
 impl fmt::Debug for LaserSession {
@@ -820,9 +604,14 @@ impl fmt::Debug for LaserSession {
         f.debug_struct("LaserSession")
             .field("config", &self.config)
             .field("machine", &self.machine)
-            .field("driver", &self.driver)
-            .field("detector", &self.detector)
-            .field("pipelined", &self.pipe.is_some())
+            .field(
+                "stage",
+                &match &self.mode {
+                    Mode::Inline(stage) => Some(stage),
+                    Mode::Piped(_) => None,
+                },
+            )
+            .field("pipelined", &self.is_pipelined())
             .field("workload", &self.workload)
             .field("num_cores", &self.num_cores)
             .field("max_steps", &self.max_steps)
@@ -849,16 +638,18 @@ impl LaserSession {
         &self.machine
     }
 
-    /// The detector's live state, when the detector runs inline. A pipelined
-    /// session's detector lives on its worker thread, so this is `None`
-    /// until [`LaserSession::finish`] reclaims it.
+    /// The detector's live state, when the stage runs inline. A pipelined
+    /// session's detector lives on its worker thread, so this is `None`.
     pub fn detector(&self) -> Option<&Detector> {
-        self.detector.as_ref()
+        match &self.mode {
+            Mode::Inline(stage) => Some(&stage.detector),
+            Mode::Piped(_) => None,
+        }
     }
 
-    /// Whether the detector stage runs pipelined on a worker thread.
+    /// Whether the stage runs pipelined on a worker thread.
     pub fn is_pipelined(&self) -> bool {
-        self.pipe.is_some()
+        matches!(self.mode, Mode::Piped(_))
     }
 
     /// Cycles the detector process has consumed so far.
@@ -874,6 +665,11 @@ impl LaserSession {
     /// Send one event to the observer.
     fn emit(&mut self, event: LaserEvent) -> ControlFlow<StopReason> {
         self.observer.on_event(&event)
+    }
+
+    /// Whether the repair trigger is still evaluated at each boundary.
+    fn repair_armed(&self) -> bool {
+        self.config.enable_repair && self.repair.is_none()
     }
 
     /// The mean cost of this run's HITM events relative to a local one.
@@ -900,8 +696,7 @@ impl LaserSession {
 
     /// The repair trigger threshold with the topology cost weighting applied
     /// (see [`LaserSession::hitm_cost_factor`]). Evaluated on the machine
-    /// thread at the batch's charge point, so inline and pipelined runs use
-    /// the same value.
+    /// thread at the settling boundary, whatever the deployment.
     fn effective_repair_threshold(&self) -> f64 {
         self.config.repair_rate_threshold / self.hitm_cost_factor()
     }
@@ -925,27 +720,25 @@ impl LaserSession {
     }
 
     /// Run one poll quantum: `poll_interval_steps` application instructions,
-    /// one driver service pass, one detector batch, and — when the
-    /// false-sharing rate crosses the threshold — the repair attachment
-    /// decision. The quantum is reported to the session's [`Observer`] as
-    /// [`LaserEvent`]s; if the observer breaks, the quantum's remaining
+    /// then hand the quantum's HITM batch to the stage (driver service pass
+    /// and detector batch), settle every ledger that has come due, and —
+    /// when the false-sharing rate crosses the threshold — decide whether to
+    /// attach repair. The quantum is reported to the session's [`Observer`]
+    /// as [`LaserEvent`]s; if the observer breaks, the quantum's remaining
     /// events are skipped and the session reports [`SessionStatus::Stopped`].
     /// Every event is emitted *after* the work it describes, so a stopped
     /// session is always in a consistent state (a later
     /// [`LaserSession::finish`] never undercounts).
     ///
-    /// In a pipelined session the driver stage services the batch on its own
-    /// thread and the detector shards consume the routed records on theirs;
-    /// at `driver_lag_quanta` 0 the event order, payloads and machine
-    /// charging are identical to an inline run (see the
+    /// An inline session settles the quantum's own ledger here; a pipelined
+    /// one settles the ledgers `driver_lag_quanta` boundaries old (see the
     /// [module docs](self)).
     ///
     /// # Errors
     /// Returns an error if the machine exhausts its step budget.
     pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
         let steps_before = self.machine.steps();
-        let piped = self.pipe.is_some();
-        let quantum = if piped {
+        let quantum = if self.is_pipelined() {
             let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
             let quantum = self.machine.run_quantum(self.config.poll_interval_steps);
             self.machine_busy += start.elapsed();
@@ -954,18 +747,19 @@ impl LaserSession {
             self.machine.run_quantum(self.config.poll_interval_steps)
         };
         let status = quantum.status;
-        // Capture the quantum event *before* the driver charges interrupt and
-        // copy overhead, matching the inline emission point.
+        // Capture the quantum event *before* any ledger settles, so its
+        // cycle count excludes this quantum's interrupt and copy overhead.
         let quantum_event = self.observed.then(|| LaserEvent::QuantumCompleted {
             steps: self.machine.steps() - steps_before,
             cycles: self.machine.cycles(),
         });
 
-        let flow = if piped {
-            self.advance_piped(quantum.events, quantum_event)
-        } else {
-            self.advance_inline(quantum.events, quantum_event)
-        };
+        let job = (!quantum.events.is_empty()).then(|| Job::Batch {
+            events: quantum.events,
+            needs_aggs: self.observed || self.repair_armed(),
+        });
+        let due = self.settle(job, false);
+        let flow = self.emit_boundary(quantum_event, due);
         if let ControlFlow::Break(reason) = flow {
             return Ok(SessionStatus::Stopped(reason));
         }
@@ -981,281 +775,104 @@ impl LaserSession {
         })
     }
 
-    /// The inline quantum boundary: service the PMU synchronously, then run
-    /// the detector stage on the calling thread.
-    fn advance_inline(
-        &mut self,
-        events: Vec<HitmEvent>,
-        quantum_event: Option<LaserEvent>,
-    ) -> ControlFlow<StopReason> {
-        let driver = self.driver.as_mut().expect("inline stage owns driver"); // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the driver
-        driver.ingest(events, &mut self.machine);
-        if let Some(event) = quantum_event {
-            self.emit(event)?;
-        }
-        let records = self
-            .driver
-            .as_mut()
-            .expect("inline stage owns driver") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the driver
-            .read_records();
-        self.dispatch_inline(records)
+    /// Hand the stage `job` (if any) and settle every ledger that comes due
+    /// (all of them when `drain`), returning their observer payloads.
+    fn settle(&mut self, job: Option<Job>, drain: bool) -> Vec<DueEmission> {
+        let ledgers = self.mode.exchange(job, drain);
+        ledgers
+            .into_iter()
+            .map(|ledger| self.settle_ledger(ledger))
+            .collect()
     }
 
-    /// The pipelined quantum boundary: enqueue the raw batch for the driver
-    /// stage, settle every charge ledger that has come due under the
-    /// bounded-lag credit scheme, emit the boundary's events in quantum
-    /// order, and run the pre-armed repair trigger off the latest mirror
-    /// aggregates.
-    fn advance_piped(
-        &mut self,
-        events: Vec<HitmEvent>,
-        quantum_event: Option<LaserEvent>,
-    ) -> ControlFlow<StopReason> {
-        let boundary = {
-            let pipe = self.pipe.as_mut().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            let boundary = pipe.next_quantum;
-            pipe.next_quantum += 1;
-            boundary
-        };
-        if !events.is_empty() {
-            let pipe = self.pipe.as_mut().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            let outcome = pipe.jobs.send(DriverJob::Batch(events));
-            debug_assert_eq!(
-                outcome,
-                SendOutcome::Sent,
-                "driver stage outlives the session"
+    /// Apply one ledger to the machine: the driver's charges, the detector's
+    /// pricing, the drop watermark and the trigger's aggregates. The
+    /// ledger's charges commute (the scheduler's pick depends only on the
+    /// final per-core clocks), so applying them in one shot lands the
+    /// machine in exactly the state synchronous per-record charging would
+    /// have produced.
+    fn settle_ledger(&mut self, ledger: QuantumLedger) -> DueEmission {
+        ledger.charges.apply(&mut self.machine);
+        let dropped = ledger.events_dropped - self.reported_dropped;
+        if ledger.records > 0 {
+            let cycles = detect::batch_processing_cycles(
+                self.config.detector_cycles_per_record,
+                ledger.records,
             );
-            pipe.outstanding.push_back(boundary);
+            self.charge_detector_cycles(cycles);
+            self.reported_dropped = ledger.events_dropped;
         }
-        let due = self.settle_due(boundary);
+        let aggs = match ledger.aggs {
+            Some(aggs) if self.observed => {
+                if self.repair_armed() {
+                    self.last_aggs.clone_from(&aggs);
+                }
+                Some(aggs)
+            }
+            Some(aggs) => {
+                self.last_aggs = aggs;
+                None
+            }
+            None => None,
+        };
+        DueEmission {
+            records: ledger.records,
+            dropped,
+            aggs,
+        }
+    }
 
+    /// Emit one boundary's events — `QuantumCompleted`, then each settled
+    /// batch's `RecordBatch` and `DetectionUpdate` in quantum order — and run
+    /// the repair trigger off the latest aggregates.
+    fn emit_boundary(
+        &mut self,
+        quantum_event: Option<LaserEvent>,
+        due: Vec<DueEmission>,
+    ) -> ControlFlow<StopReason> {
         if let Some(event) = quantum_event {
             self.emit(event)?;
         }
-        for emission in due {
-            if emission.records > 0 && self.observed {
-                self.emit(LaserEvent::RecordBatch {
-                    n: emission.records,
-                    dropped: emission.dropped,
-                })?;
-                let lines = detect::line_rates_from(
-                    emission.aggs.as_deref().unwrap_or(&[]),
-                    self.machine.elapsed_benchmark_seconds(),
-                );
+        self.emit_batches(due)?;
+        if self.repair_armed() {
+            // Re-evaluated at every boundary, batch or not: rates decay as
+            // elapsed time grows.
+            let pcs = detect::trigger_pcs_from(
+                &self.last_aggs,
+                self.machine.elapsed_benchmark_seconds(),
+                self.effective_repair_threshold(),
+            );
+            if let Some(attached) = self.attach_repair_from_pcs(&pcs) {
+                if self.observed {
+                    self.emit(attached)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Emit each settled batch's `RecordBatch` and, for quantum batches,
+    /// its `DetectionUpdate` (an observed session's batch ledgers always
+    /// carry aggregates; the final flush's never does).
+    fn emit_batches(&mut self, due: Vec<DueEmission>) -> ControlFlow<StopReason> {
+        if !self.observed {
+            return ControlFlow::Continue(());
+        }
+        for emission in due.into_iter().filter(|e| e.records > 0) {
+            self.emit(LaserEvent::RecordBatch {
+                n: emission.records,
+                dropped: emission.dropped,
+            })?;
+            if let Some(aggs) = emission.aggs {
+                let lines =
+                    detect::line_rates_from(&aggs, self.machine.elapsed_benchmark_seconds());
                 self.emit(LaserEvent::DetectionUpdate {
                     lines,
                     remote_hitm_share: self.machine.stats().remote_hitm_share(),
                 })?;
             }
         }
-
-        if self.config.enable_repair && self.repair.is_none() {
-            // Pre-armed trigger: evaluated every boundary against the last
-            // settled mirror aggregates (rates decay as elapsed time grows),
-            // exactly as the inline stage re-evaluates its detector. No
-            // round-trip to the workers is involved.
-            let elapsed = self.machine.elapsed_benchmark_seconds();
-            let threshold = self.effective_repair_threshold();
-            let pcs = {
-                let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                detect::trigger_pcs_from(&pipe.last_aggs, elapsed, threshold)
-            };
-            if let Some(attached) = self.attach_repair_from_pcs(&pcs) {
-                if self.observed {
-                    self.emit(attached)?;
-                } else {
-                    // Unobserved and attached: nothing needs the mirror's
-                    // aggregates any more; let the driver stage retire it.
-                    let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                    let outcome = pipe.jobs.send(DriverJob::RepairAttached);
-                    debug_assert_eq!(
-                        outcome,
-                        SendOutcome::Sent,
-                        "driver stage outlives the session"
-                    );
-                }
-            }
-        }
         ControlFlow::Continue(())
-    }
-
-    /// Settle every outstanding ledger that has come due at `boundary`
-    /// (front quantum + lag ≤ boundary): apply its charges and detector
-    /// pricing to the machine, update the drop watermark and the mirror
-    /// aggregates, and stage its observer payload for emission.
-    fn settle_due(&mut self, boundary: u64) -> Vec<DueEmission> {
-        let mut due = Vec::new();
-        loop {
-            let ready = {
-                let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                matches!(pipe.outstanding.front(), Some(&q) if q + pipe.lag <= boundary)
-            };
-            if !ready {
-                return due;
-            }
-            let ledger = self.recv_ledger();
-            self.pipe
-                .as_mut()
-                .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                .outstanding
-                .pop_front();
-            due.push(self.settle_ledger(ledger));
-        }
-    }
-
-    /// Apply one settled ledger to the machine. The ledger's charges commute
-    /// (the scheduler's pick depends only on the final per-core clocks), so
-    /// applying them here in one shot lands the machine in exactly the state
-    /// synchronous per-quantum charging would have produced.
-    fn settle_ledger(&mut self, ledger: QuantumLedger) -> DueEmission {
-        ledger.charges.apply(&mut self.machine);
-        if ledger.records > 0 {
-            // The detector's per-record cost is configuration, not state, so
-            // the machine prices the batch at the inline charge point while
-            // the semantic processing overlaps on the workers. The formula
-            // is shared with `Detector::processing_cycles`; the two sites
-            // must agree exactly for lag=0 runs to stay byte-identical.
-            let cycles = detect::batch_processing_cycles(
-                self.config.detector_cycles_per_record,
-                ledger.records,
-            );
-            self.charge_detector_cycles(cycles);
-        }
-        let dropped = ledger.events_dropped - self.reported_dropped;
-        if ledger.records > 0 {
-            self.reported_dropped = ledger.events_dropped;
-        }
-        let emission_aggs = if self.observed {
-            ledger.aggs.clone()
-        } else {
-            None
-        };
-        if let Some(aggs) = ledger.aggs {
-            self.pipe.as_mut().expect("piped stage").last_aggs = aggs; // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-        }
-        DueEmission {
-            records: ledger.records,
-            dropped,
-            aggs: emission_aggs,
-        }
-    }
-
-    /// Block for the driver stage's next ledger. The stage holds its ledger
-    /// sender for as long as the session holds its job sender, so a
-    /// disconnect here means a stage worker died mid-run — in that case its
-    /// own panic is the real diagnostic, so shut the stages down, join them,
-    /// and re-raise the first panic payload rather than masking it with a
-    /// channel error (the campaign runner's per-cell `catch_unwind` then
-    /// records the true message).
-    fn recv_ledger(&mut self) -> QuantumLedger {
-        let received = {
-            let pipe = self.pipe.as_ref().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                                                                 // Yield-spin before parking: at lag 0 the machine waits for the
-                                                                 // driver stage once per quantum, and a bounded yield loop is
-                                                                 // much cheaper than a futex park/unpark round-trip — on a
-                                                                 // single hardware thread each yield hands the timeslice
-                                                                 // straight to the driver stage, and on a multi-core host the
-                                                                 // ledger usually lands within a few yields.
-            let mut received = None;
-            for _ in 0..64 {
-                match pipe.ledgers.try_recv() {
-                    Ok(ledger) => {
-                        received = Some(Ok(ledger));
-                        break;
-                    }
-                    Err(mpsc::TryRecvError::Empty) => std::thread::yield_now(),
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        received = Some(Err(()));
-                        break;
-                    }
-                }
-            }
-            match received {
-                Some(Ok(ledger)) => Ok(ledger),
-                Some(Err(())) => Err(()),
-                None => pipe.ledgers.recv().map_err(|_| ()),
-            }
-        };
-        match received {
-            Ok(ledger) => ledger,
-            Err(_) => {
-                let pipe = self.pipe.take().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                drop(pipe.jobs);
-                let mut first_panic = None;
-                if let Err(payload) = pipe.driver_worker.join() {
-                    first_panic.get_or_insert(payload);
-                }
-                for worker in pipe.shard_workers {
-                    if let Err(payload) = worker.join() {
-                        first_panic.get_or_insert(payload);
-                    }
-                }
-                match first_panic {
-                    Some(payload) => std::panic::resume_unwind(payload),
-                    None => panic!("pipeline stage worker exited before its channel closed"), // lint:allow(panic) — a worker exiting with its channel open is a protocol bug worth crashing the cell
-                }
-            }
-        }
-    }
-
-    /// The inline detector stage: process the batch, charge its cost, report
-    /// it, and run the repair trigger — all on the calling thread.
-    fn dispatch_inline(&mut self, records: Vec<HitmRecord>) -> ControlFlow<StopReason> {
-        if !records.is_empty() {
-            let detector = self.detector.as_mut().expect("inline stage owns detector"); // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-            detector.process(&records);
-            let cycles = detector.processing_cycles(records.len());
-            self.charge_detector_cycles(cycles);
-
-            if self.observed {
-                let batch = self.record_batch_event(records.len());
-                self.emit(batch)?;
-
-                let update = LaserEvent::DetectionUpdate {
-                    lines: self
-                        .detector
-                        .as_ref()
-                        .expect("inline stage owns detector") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-                        .line_rates(self.machine.elapsed_benchmark_seconds()),
-                    remote_hitm_share: self.machine.stats().remote_hitm_share(),
-                };
-                self.emit(update)?;
-            }
-        }
-
-        if self.config.enable_repair && self.repair.is_none() {
-            let elapsed = self.machine.elapsed_benchmark_seconds();
-            let threshold = self.effective_repair_threshold();
-            let pcs = self
-                .detector
-                .as_ref()
-                .expect("inline stage owns detector") // lint:allow(panic) — stage mode is fixed at construction; inline mode always owns the detector
-                .repair_trigger_pcs(elapsed, threshold);
-            if let Some(attached) = self.attach_repair_from_pcs(&pcs) {
-                if self.observed {
-                    self.emit(attached)?;
-                }
-            }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Build the `RecordBatch` event for a batch of `n` records, advancing
-    /// the reported-drop watermark. Inline-stage only (the pipelined stage's
-    /// drop counts ride in the ledgers).
-    fn record_batch_event(&mut self, n: usize) -> LaserEvent {
-        let dropped_total = self
-            .driver
-            .as_ref()
-            .expect("inline stage owns driver") // lint:allow(panic) — only inline dispatch and post-reclaim finish build this event, and both own the driver
-            .stats()
-            .events_dropped;
-        let event = LaserEvent::RecordBatch {
-            n,
-            dropped: dropped_total - self.reported_dropped,
-        };
-        self.reported_dropped = dropped_total;
-        event
     }
 
     /// Attach the SSB instrumentation if `pcs` (the lines over the repair
@@ -1307,142 +924,29 @@ impl LaserSession {
         }
     }
 
-    /// Wind down the pipelined stages: settle every outstanding ledger
-    /// (emitting its deferred events), ask the driver stage to flush, close
-    /// the channels so every worker drains its queue in FIFO order and
-    /// exits, then reclaim the driver and fold the shard detectors back into
-    /// one ([`Detector::absorb`], shard order) for the final inline flush.
-    /// Under line-hash routing the shards' state is disjoint, so the merged
-    /// detector is exactly the one an inline run would hold here. Returns
-    /// the final flush's records, still unprocessed.
-    fn wind_down_pipeline(&mut self) -> Vec<HitmRecord> {
-        // Settle everything still outstanding, lag or no lag. The run is
-        // over; a Break during settlement has nothing to cancel.
-        let mut due = Vec::new();
-        while self
-            .pipe
-            .as_ref()
-            .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            .outstanding
-            .front()
-            .is_some()
-        {
-            let ledger = self.recv_ledger();
-            self.pipe
-                .as_mut()
-                .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-                .outstanding
-                .pop_front();
-            due.push(self.settle_ledger(ledger));
-        }
-        for emission in due {
-            if emission.records > 0 && self.observed {
-                let _ = self.emit(LaserEvent::RecordBatch {
-                    n: emission.records,
-                    dropped: emission.dropped,
-                });
-                let lines = detect::line_rates_from(
-                    emission.aggs.as_deref().unwrap_or(&[]),
-                    self.machine.elapsed_benchmark_seconds(),
-                );
-                let _ = self.emit(LaserEvent::DetectionUpdate {
-                    lines,
-                    remote_hitm_share: self.machine.stats().remote_hitm_share(),
-                });
-            }
-        }
-
-        // Ask the driver stage for its final flush, then close the channels.
-        let outcome = self
-            .pipe
-            .as_ref()
-            .expect("piped stage") // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-            .jobs
-            .send(DriverJob::Finish);
-        debug_assert_eq!(
-            outcome,
-            SendOutcome::Sent,
-            "driver stage outlives the session"
-        );
-        let flushed = self.recv_ledger().flushed;
-
-        let pipe = self.pipe.take().expect("piped stage"); // lint:allow(panic) — stage mode is fixed at construction; piped mode always has a pipe
-        drop(pipe.jobs);
-        let mut first_panic = None;
-        let mut driver_busy = Duration::ZERO;
-        match pipe.driver_worker.join() {
-            Ok((driver, busy)) => {
-                self.driver = Some(driver);
-                driver_busy = busy;
-            }
-            // Re-raise the worker's own panic payload: it is the real
-            // diagnostic, and per-cell panic isolation depends on it.
-            Err(payload) => {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        let mut detectors: Vec<Detector> = Vec::with_capacity(pipe.shard_workers.len());
-        let mut detector_busy = Duration::ZERO;
-        for worker in pipe.shard_workers {
-            match worker.join() {
-                Ok((detector, busy)) => {
-                    detectors.push(detector);
-                    detector_busy = detector_busy.max(busy);
-                }
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        let mut merged = detectors.remove(0);
-        for shard in detectors {
-            merged.absorb(shard);
-        }
-        self.detector = Some(merged);
-        self.occupancy = Some(StageOccupancy {
-            machine_busy: self.machine_busy,
-            driver_busy,
-            detector_busy,
-        });
-        flushed
-    }
-
-    /// Flush what is still buffered in the PEBS hardware, fold the repair
-    /// hook's final counters into the summary, and produce the outcome.
+    /// Settle every outstanding ledger, flush what is still buffered in the
+    /// PEBS hardware through the detector, fold the repair hook's final
+    /// counters into the summary, and produce the outcome.
     ///
     /// The final flush batch is charged to the machine exactly like an
     /// [`advance`](LaserSession::advance) batch — the detector is still
     /// sharing the chip while it drains the device — so the outcome's cycle
     /// count accounts for every record the detector processed. A pipelined
-    /// session settles its outstanding ledgers and reclaims the driver and
-    /// detector from the worker stages first, so the final flush (and the
-    /// report) sees every streamed batch.
+    /// session settles its outstanding ledgers (emitting their deferred
+    /// events) and reclaims the stage from its worker first, so the final
+    /// flush and the report see every streamed batch.
     pub fn finish(mut self) -> LaserOutcome {
-        let mut records = if self.pipe.is_some() {
-            self.wind_down_pipeline()
-        } else {
-            Vec::new()
-        };
-
-        let driver = self.driver.as_mut().expect("driver reclaimed"); // lint:allow(panic) — wind_down_pipeline() reclaims the driver before any caller can reach this point
-        driver.poll(&mut self.machine);
-        driver.flush();
-        records.extend(driver.read_records());
-        if !records.is_empty() {
-            let detector = self.detector.as_mut().expect("detector reclaimed"); // lint:allow(panic) — shutdown() reclaims the detector before any caller can reach this point
-            detector.process(&records);
-            let cycles = detector.processing_cycles(records.len());
-            self.charge_detector_cycles(cycles);
-
-            if self.observed {
-                let batch = self.record_batch_event(records.len());
-                // The run is complete: a Break here has nothing left to cancel.
-                let _ = self.emit(batch);
-            }
+        // Settle everything still outstanding, then drain the PEBS buffers
+        // through the stage as one last batch. The run is over: a Break
+        // here has nothing left to cancel.
+        for job in [None, Some(Job::Flush)] {
+            let due = self.settle(job, true);
+            let _ = self.emit_batches(due);
         }
+        let stage = match self.mode {
+            Mode::Inline(stage) => *stage,
+            Mode::Piped(pipe) => pipe.join(),
+        };
 
         if let Some(summary) = self.repair.as_mut() {
             // The hook owns its statistics; read them back out of the machine.
@@ -1461,12 +965,11 @@ impl LaserSession {
                 steps: self.machine.steps(),
                 cycles: self.machine.cycles(),
             };
-            let _ = self.emit(finished);
+            let _ = self.observer.on_event(&finished);
         }
 
         let elapsed = self.machine.elapsed_benchmark_seconds();
-        // lint:allow(panic) — shutdown() reclaims the detector before any caller can reach this point
-        let mut report = self.detector.as_ref().expect("detector reclaimed").report(
+        let mut report = stage.detector.report(
             &self.workload,
             elapsed,
             self.config.rate_threshold_hitm_per_sec,
@@ -1478,12 +981,14 @@ impl LaserSession {
         LaserOutcome {
             report,
             run: self.machine.result(),
-            // lint:allow(panic) — wind_down_pipeline() reclaims the driver before any caller can reach this point
-            driver_stats: self.driver.as_ref().expect("driver reclaimed").stats(),
+            driver_stats: stage.driver.stats(),
             detector_cycles: self.detector_cycles,
             repair: self.repair,
             elapsed_benchmark_seconds: elapsed,
-            stage_occupancy: self.occupancy,
+            stage_occupancy: stage.busy.map(|busy| StageOccupancy {
+                machine_busy: self.machine_busy,
+                ..busy
+            }),
         }
     }
 }
@@ -1813,38 +1318,16 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn pipeline_config_defaults_are_a_lossless_double_buffer() {
+    fn pipeline_config_defaults_to_inline_at_lag_zero() {
         let config = PipelineConfig::default();
         assert!(!config.enabled);
-        assert_eq!(config.capacity, 2);
-        assert!(!config.lossy);
-        assert_eq!(config.shards, 1, "single worker unless asked");
-        assert_eq!(config.routing, ShardRouting::LineHash);
         assert_eq!(
             config.driver_lag_quanta, 0,
             "lag defaults to 0 so pipelined runs stay byte-identical to inline"
         );
-        let on = PipelineConfig::pipelined()
-            .with_capacity(0)
-            .with_lossy(true)
-            .with_shards(0)
-            .with_routing(ShardRouting::Socket)
-            .with_driver_lag(3);
+        let on = PipelineConfig::pipelined().with_driver_lag(3);
         assert!(on.enabled);
-        assert_eq!(on.capacity, 1, "capacity clamps to at least one batch");
-        assert!(on.lossy);
-        assert_eq!(on.shards, 1, "shard count clamps to at least one");
-        assert_eq!(on.routing, ShardRouting::Socket);
         assert_eq!(on.driver_lag_quanta, 3);
-    }
-
-    #[test]
-    fn shard_routing_keys_round_trip() {
-        for routing in [ShardRouting::LineHash, ShardRouting::Socket] {
-            assert_eq!(ShardRouting::parse(routing.key()), Some(routing));
-        }
-        assert_eq!(ShardRouting::key(ShardRouting::default()), "line");
-        assert_eq!(ShardRouting::parse("hash"), None);
     }
 
     #[test]
@@ -1877,8 +1360,9 @@ mod tests {
 
     #[test]
     fn pipelined_repair_run_attaches_at_the_same_cycle_as_inline() {
-        // With repair enabled the pipeline runs armed quanta in lock-step;
-        // the attach point, plan and final outcome must match inline exactly.
+        // With repair armed the trigger runs off each settled ledger's
+        // aggregates; the attach point, plan and final outcome must match
+        // inline exactly.
         let image = contended_image("piperep", 6000);
         let inline = Laser::builder().build(&image).run().unwrap();
         let piped = Laser::builder().pipeline(true).build(&image).run().unwrap();
@@ -2014,134 +1498,12 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Sharded detection
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn sharded_detection_run_is_byte_identical_to_inline() {
-        let image = contended_image("sharded", 6000);
-        let config = LaserConfig::detection_only();
-        let inline = Laser::builder()
-            .config(config.clone())
-            .build(&image)
-            .run()
-            .unwrap();
-        for shards in [1, 2, 8] {
-            let sharded = Laser::builder()
-                .config(config.clone())
-                .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                .build(&image)
-                .run()
-                .unwrap();
-            assert_eq!(inline.cycles(), sharded.cycles(), "shards={shards}");
-            assert_eq!(inline.run.per_core_cycles, sharded.run.per_core_cycles);
-            assert_eq!(inline.report, sharded.report, "shards={shards}");
-            assert_eq!(inline.detector_cycles, sharded.detector_cycles);
-            assert_eq!(inline.driver_stats, sharded.driver_stats);
-            assert_eq!(
-                format!("{:?}", inline.report),
-                format!("{:?}", sharded.report),
-                "shards={shards}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_repair_run_attaches_at_the_same_cycle_as_inline() {
-        // Lock-step quanta collect one reply per shard and merge before the
-        // trigger decision, so the attach point must not move with the shard
-        // count.
-        let image = contended_image("shardrep", 6000);
-        let inline = Laser::builder().build(&image).run().unwrap();
-        assert!(inline.repair.is_some(), "workload should trigger repair");
-        for shards in [2, 8] {
-            let sharded = Laser::builder()
-                .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                .build(&image)
-                .run()
-                .unwrap();
-            let (a, b) = (
-                inline.repair.as_ref().unwrap(),
-                sharded.repair.as_ref().unwrap(),
-            );
-            assert_eq!(
-                a.triggered_at_cycle, b.triggered_at_cycle,
-                "shards={shards}"
-            );
-            assert_eq!(a.plan.instrumented_blocks, b.plan.instrumented_blocks);
-            assert_eq!(a.plan.flush_blocks, b.plan.flush_blocks);
-            assert_eq!(a.plan.ssb_stores, b.plan.ssb_stores);
-            assert_eq!(a.stats, b.stats);
-            assert_eq!(inline.cycles(), sharded.cycles(), "shards={shards}");
-            assert_eq!(inline.report, sharded.report);
-            assert_eq!(inline.detector_cycles, sharded.detector_cycles);
-        }
-    }
-
-    #[test]
-    fn sharded_event_stream_is_byte_identical_to_inline() {
-        for config in [LaserConfig::detection_only(), LaserConfig::default()] {
-            let image = contended_image("shardevents", 6000);
-            let inline_log = EventLog::new();
-            let inline = Laser::builder()
-                .config(config.clone())
-                .observer(inline_log.clone())
-                .build(&image)
-                .run()
-                .unwrap();
-            for shards in [2, 8] {
-                let sharded_log = EventLog::new();
-                let sharded = Laser::builder()
-                    .config(config.clone())
-                    .pipeline_config(PipelineConfig::pipelined().with_shards(shards))
-                    .observer(sharded_log.clone())
-                    .build(&image)
-                    .run()
-                    .unwrap();
-                assert_eq!(inline.cycles(), sharded.cycles());
-                let (ie, se) = (inline_log.events(), sharded_log.events());
-                assert!(!ie.is_empty());
-                assert_eq!(ie, se, "repair={} shards={shards}", config.enable_repair);
-                assert_eq!(format!("{ie:?}"), format!("{se:?}"));
-            }
-        }
-    }
-
-    #[test]
-    fn socket_routing_is_deterministic_across_identical_runs() {
-        use laser_machine::{ThreadPlacement, TopologySpec};
-        // Socket routing models one detector core per socket: it does not
-        // promise inline-identity (a line touched from two sockets splits
-        // its record sequence across shards), but it must be a pure function
-        // of the run — two identical deployments produce identical bytes.
-        let mut image = contended_image("shardsock", 6000);
-        image.set_thread_placement(ThreadPlacement::RoundRobin);
-        let run = || {
-            Laser::builder()
-                .config(LaserConfig::detection_only().with_topology(TopologySpec::DualSocket))
-                .pipeline_config(
-                    PipelineConfig::pipelined()
-                        .with_shards(2)
-                        .with_routing(ShardRouting::Socket),
-                )
-                .build(&image)
-                .run()
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.cycles(), b.cycles());
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.detector_cycles, b.detector_cycles);
-        assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
-    }
-
     #[test]
     fn lagged_charge_back_is_deterministic_across_identical_runs() {
         // driver_lag_quanta ≥ 1 overlaps the machine with the driver stage:
         // charges for quantum k land at boundary k + lag, which moves the
         // cores' clocks relative to an inline run and perturbs the
-        // interleaving. Like socket routing, the contract is determinism —
+        // interleaving. The contract is determinism —
         // two identical deployments produce identical bytes — NOT
         // inline-identity.
         for lag in [1usize, 3] {
@@ -2150,11 +1512,7 @@ mod tests {
                 let log = EventLog::new();
                 let outcome = Laser::builder()
                     .config(config)
-                    .pipeline_config(
-                        PipelineConfig::pipelined()
-                            .with_shards(2)
-                            .with_driver_lag(lag),
-                    )
+                    .pipeline_config(PipelineConfig::pipelined().with_driver_lag(lag))
                     .observer(log.clone())
                     .build(&image)
                     .run()
@@ -2210,6 +1568,62 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_stage_worker_re_raises_on_the_session_thread() {
+        use laser_machine::MemAccessKind;
+        // A stage that believes the machine has zero cores divides by zero
+        // in the driver's per-core overhead split on its first sampled
+        // record: a real panic on the worker thread, with no test hook.
+        let image = contended_image("stagepanic", 10);
+        let config = LaserConfig::detection_only().with_sav(1);
+        let program = image.program();
+        let model = ImprecisionModel::new(
+            config.imprecision,
+            image.memory_map(),
+            (program.base_pc(), program.end_pc()),
+            config.seed,
+        );
+        let pmu = Pmu::new(
+            PmuConfig {
+                sav: 1,
+                num_cores: 2,
+                ..Default::default()
+            },
+            model,
+        );
+        let stage = Stage {
+            driver: Driver::new(pmu, config.driver),
+            detector: Detector::new(&config, program, image.memory_map()),
+            num_cores: 0,
+            busy: None,
+        };
+        let mut pipe = PipeStage::spawn(stage, 0);
+        let event = HitmEvent {
+            core: CoreId(0),
+            pc: program.base_pc(),
+            addr: 0x1000,
+            size: 8,
+            kind: MemAccessKind::Load,
+            cycle: 1,
+        };
+        let job = Job::Batch {
+            events: vec![event],
+            needs_aggs: false,
+        };
+        let payload =
+            panic::catch_unwind(AssertUnwindSafe(|| pipe.exchange(Some(job), false).len()))
+                .expect_err("the worker's panic must surface here, not hang the session");
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(
+            message.contains("zero"),
+            "the worker's own message: {message:?}"
+        );
+    }
+
+    #[test]
     fn dropping_a_pipelined_session_mid_run_shuts_the_worker_down() {
         let image = contended_image("pipdrop", 50_000);
         let mut session = Laser::builder()
@@ -2223,39 +1637,5 @@ mod tests {
         // exits rather than leaking a parked thread. (A deadlock here would
         // hang the test suite, which is the assertion.)
         drop(session);
-    }
-
-    #[test]
-    fn lossy_pipeline_accounts_channel_overflow_as_driver_drops() {
-        // A capacity-1 lossy channel with a worker that cannot keep up (the
-        // channel stays saturated because the producer never blocks): some
-        // batches must be dropped and accounted, and the outcome stays
-        // internally consistent (dropped batches are neither processed nor
-        // charged).
-        let image = contended_image("piplossy", 20_000);
-        let config = LaserConfig {
-            detector_cycles_per_record: 37,
-            ..LaserConfig::detection_only()
-        };
-        let outcome = Laser::builder()
-            .config(config)
-            .pipeline_config(
-                PipelineConfig::pipelined()
-                    .with_capacity(1)
-                    .with_lossy(true),
-            )
-            .build(&image)
-            .run()
-            .unwrap();
-        let stats = outcome.driver_stats;
-        assert_eq!(
-            outcome.detector_cycles,
-            (stats.records_sampled - stats.records_dropped) * 37,
-            "dropped records are not charged: {stats:?}"
-        );
-        assert_eq!(
-            outcome.run.stats.injected_overhead_cycles,
-            stats.overhead_cycles + outcome.detector_cycles
-        );
     }
 }

@@ -57,13 +57,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "unsafe block/fn or static mut (denied everywhere; crate roots \
                   carry #![forbid(unsafe_code)] as the compiler-level backstop)",
     },
-    RuleInfo {
-        id: "shard-merge",
-        summary: "merge/absorb/combine function touching shard state with no visible \
-                  ordering step (sort call or BTree collection) — merged output must \
-                  be byte-identical to the single-worker path regardless of shard \
-                  arrival order",
-    },
 ];
 
 /// Run every applicable rule over `ctx`, honoring test masks and allows.
@@ -77,7 +70,6 @@ pub fn run_rules(ctx: &FileCtx) -> Vec<Finding> {
     float_accum(ctx, &mut findings);
     panic_rule(ctx, &mut findings);
     unsafe_rule(ctx, &mut findings);
-    shard_merge(ctx, &mut findings);
     findings
 }
 
@@ -674,91 +666,6 @@ fn unsafe_rule(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Function-name stems that mark a combiner in the shard-merge sense.
-const MERGE_STEMS: &[&str] = &["merge", "absorb", "combine"];
-
-/// Rule `shard-merge`: a library function that merges, absorbs or combines
-/// shard state must show its ordering step. Per-shard results arrive in an
-/// order that depends on routing and shard count, so a combiner that just
-/// folds them as they come would only be byte-identical to the single-worker
-/// path by accident. The rule is lexical: the function's body must mention a
-/// `sort*` call or a `BTree*` collection (both impose a total order) — any
-/// other ordering strategy needs a `lint:allow(shard-merge)` annotation
-/// explaining itself.
-// lint:allow(shard-merge) — the rule's own lexical heuristic matches its own implementation
-fn shard_merge(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    if ctx.role != FileRole::Lib {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        if ctx.in_test[i] || !code[i].is_ident("fn") {
-            continue;
-        }
-        let Some(name) = code.get(i + 1) else {
-            continue;
-        };
-        if name.kind != TokenKind::Ident {
-            continue;
-        }
-        let lower = name.text.to_lowercase();
-        if !MERGE_STEMS.iter().any(|stem| lower.contains(stem)) {
-            continue;
-        }
-        // Locate the body: the first `{` after the signature. A `;` first
-        // means a bodiless trait declaration — nothing to check there.
-        let mut j = i + 2;
-        let open = loop {
-            match code.get(j) {
-                Some(t) if t.is_punct(';') => break None,
-                Some(t) if t.is_punct('{') => break Some(j),
-                Some(_) => j += 1,
-                None => break None,
-            }
-        };
-        let Some(open) = open else { continue };
-        let mut depth = 0i64;
-        let mut close = open;
-        for (k, t) in code.iter().enumerate().skip(open) {
-            if t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    close = k;
-                    break;
-                }
-            }
-        }
-        // Only combiners that actually touch shard state are in scope.
-        let touches_shards = code[i..=close]
-            .iter()
-            .any(|t| t.kind == TokenKind::Ident && t.text.to_lowercase().contains("shard"));
-        if !touches_shards {
-            continue;
-        }
-        let shows_ordering = code[open..=close].iter().any(|t| {
-            t.kind == TokenKind::Ident
-                && (t.text.starts_with("sort") || t.text.starts_with("BTree"))
-        });
-        if !shows_ordering {
-            push(
-                ctx,
-                findings,
-                "shard-merge",
-                name,
-                format!(
-                    "`fn {}` combines shard state without a visible ordering step; merge \
-                     through a BTree collection or sort before folding so the result is \
-                     byte-identical to the single-worker path, then keep that token in \
-                     this body (or annotate why order cannot matter here)",
-                    name.text
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1006,66 +913,5 @@ mod tests {
     fn allow_for_other_rule_does_not_suppress() {
         let f = lint_lib("fn f() { let t = Instant::now(); // lint:allow(panic) — wrong rule\n }");
         assert_eq!(rule_ids(&f), ["wall-clock"]);
-    }
-
-    #[test]
-    fn shard_merge_without_ordering_flagged() {
-        let f = lint_lib(
-            "fn merge_shards(shards: Vec<Vec<u64>>) -> Vec<u64> {\n\
-                 let mut out = Vec::new();\n\
-                 for shard in shards { out.extend(shard); }\n\
-                 out\n\
-             }",
-        );
-        assert_eq!(rule_ids(&f), ["shard-merge"]);
-        let f =
-            lint_lib("impl S { fn absorb(&mut self, shard: ShardState) { self.n += shard.n; } }");
-        assert_eq!(rule_ids(&f), ["shard-merge"]);
-    }
-
-    #[test]
-    fn shard_merge_with_sort_or_btree_is_clean() {
-        let f = lint_lib(
-            "fn merge_shards(shards: Vec<Vec<u64>>) -> Vec<u64> {\n\
-                 let mut out: Vec<u64> = shards.into_iter().flatten().collect();\n\
-                 out.sort_unstable();\n\
-                 out\n\
-             }",
-        );
-        assert!(f.is_empty(), "{f:?}");
-        let f = lint_lib(
-            "fn merge_shards(shards: Vec<Vec<(u64, u64)>>) -> Vec<(u64, u64)> {\n\
-                 let mut merged = BTreeMap::new();\n\
-                 for shard in shards { for (k, v) in shard { merged.insert(k, v); } }\n\
-                 merged.into_iter().collect()\n\
-             }",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn merge_without_shard_state_is_out_of_scope() {
-        let f = lint_lib("fn merge(a: Vec<u64>, b: Vec<u64>) -> Vec<u64> { concat(a, b) }");
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn shard_merge_trait_declaration_and_tests_are_clean() {
-        let f = lint_lib("trait Combine { fn merge_shards(&mut self, shard: ShardState); }");
-        assert!(f.is_empty(), "{f:?}");
-        let f = lint_lib(
-            "#[cfg(test)]\nmod tests {\n    fn merge_shards(shards: Vec<u64>) {\n        fold(shards);\n    }\n}",
-        );
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn shard_merge_allow_suppresses_with_reason() {
-        let f = lint_lib(
-            "fn merge_shards(shards: Vec<u64>) -> u64 { // lint:allow(shard-merge) — commutative sum\n\
-                 shards.into_iter().fold(0, |a, b| a + b)\n\
-             }",
-        );
-        assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -49,7 +49,6 @@ fn bad_fixtures_trigger_exactly_their_rules() {
         ("panic.rs", &["panic"]),
         ("unsafe_code.rs", &["unsafe-code"]),
         ("bad_allow.rs", &["bad-allow", "panic"]),
-        ("shard_merge.rs", &["shard-merge"]),
     ];
     for (name, expected) in cases {
         let findings = lint_as_lib(&fixture("bad", name));
@@ -71,9 +70,6 @@ fn bad_fixture_finding_counts_are_pinned() {
     assert_eq!(lint_as_lib(&fixture("bad", "panic.rs")).len(), 5);
     // Two malformed annotations plus the unsuppressed unwrap.
     assert_eq!(lint_as_lib(&fixture("bad", "bad_allow.rs")).len(), 3);
-    // The free merge function and the method-form absorb; the shard-free
-    // combiner at the bottom stays out of scope.
-    assert_eq!(lint_as_lib(&fixture("bad", "shard_merge.rs")).len(), 2);
 }
 
 #[test]
@@ -169,7 +165,6 @@ fn list_rules_names_every_rule() {
         "float-accum",
         "panic",
         "unsafe-code",
-        "shard-merge",
     ] {
         assert!(stdout.contains(rule), "--list-rules omits {rule}");
     }

@@ -53,9 +53,8 @@ pub struct DriverStats {
     /// SAV countdown.
     pub events_dropped: u64,
     /// Sampled records discarded *after* the PMU because the downstream
-    /// consumer lagged — a full record channel overflowing the way a real
-    /// PEBS buffer does (see [`Driver::note_lagging_drops`]). Zero under
-    /// lossless (backpressure) delivery.
+    /// consumer lagged. Delivery to the detector is lossless, so this is
+    /// always 0; the field keeps the statistics shape stable for reports.
     pub records_dropped: u64,
     /// Interrupts taken.
     pub interrupts: u64,
@@ -67,9 +66,9 @@ pub struct DriverStats {
 /// [`Driver::ingest`] would have charged into the machine synchronously,
 /// recorded instead as a pure function of the ingested batch.
 ///
-/// This is the charge-back half of the three-stage pipeline. A driver stage
+/// This is the charge-back half of a pipelined session. A driver stage
 /// running off the machine thread cannot touch the [`Machine`]; it computes
-/// the ledger with [`Driver::ingest_deferred`] and ships it back on a second
+/// the ledger with [`Driver::ingest_deferred`] and ships it back on a reply
 /// channel, and the machine applies it at a fixed quantum boundary with
 /// [`ChargeLedger::apply`]. Charges are additive (they only advance core
 /// clocks and the injected-overhead counter), so applying a ledger — or a
@@ -185,7 +184,7 @@ impl Driver {
     /// stage the records exactly as `ingest` does, but *return* the overhead
     /// charges as a [`ChargeLedger`] instead of applying them to a machine.
     ///
-    /// This is the pure function at the heart of the three-stage pipeline's
+    /// This is the pure function at the heart of a pipelined session's
     /// latency-tolerant charge-back: the ledger depends only on the batch and
     /// the driver's sampling state, never on machine timing, so a driver
     /// stage can compute it on its own thread and the machine can settle it
@@ -238,15 +237,6 @@ impl Driver {
     /// run so no sampled record is lost).
     pub fn flush(&mut self) {
         self.staged.append(&mut self.pmu.drain_all_buffers());
-    }
-
-    /// Account `records` sampled records that were discarded because the
-    /// record channel to the detector was full — the consumer lagged and the
-    /// buffer overflowed, as real PEBS hardware does. Pipelined sessions
-    /// running with a lossy channel report their channel drops here so the
-    /// loss is visible in [`DriverStats::records_dropped`].
-    pub fn note_lagging_drops(&mut self, records: u64) {
-        self.stats.records_dropped += records;
     }
 
     /// Read the records staged for the detector (the file-like device read).
@@ -562,17 +552,6 @@ mod tests {
         let mut uniform = ChargeLedger::default();
         uniform.charge_all(1);
         assert!(!uniform.is_empty());
-    }
-
-    #[test]
-    fn lagging_consumer_drops_are_recorded() {
-        let image = contended_image(10);
-        let machine = Machine::new(MachineConfig::default(), &image);
-        let mut driver = driver_for(&machine, 19);
-        assert_eq!(driver.stats().records_dropped, 0);
-        driver.note_lagging_drops(17);
-        driver.note_lagging_drops(3);
-        assert_eq!(driver.stats().records_dropped, 20);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   unmapped memory, and wrong PCs stay inside the binary.
 //! * [`pmu`] and [`driver`] — Sample-After-Value sampling into per-core PEBS
 //!   buffers, buffer-full interrupts, and the overhead-charging driver that
-//!   moves records into a file-like device the detector reads.
-//! * [`channel`] — the bounded, double-buffered batch channel that feeds a
-//!   concurrent detector stage, with backpressure or PEBS-style overflow
-//!   drops when the consumer lags ([`channel::OverflowPolicy`]).
+//!   moves records into a file-like device the detector reads. The driver can
+//!   also return a batch's overhead as a value ([`driver::ChargeLedger`]) for
+//!   a machine on another thread to settle later.
 //!
 //! ## Example
 //!
@@ -50,13 +49,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod channel;
 pub mod driver;
 pub mod imprecision;
 pub mod pmu;
 pub mod record;
 
-pub use channel::{OverflowPolicy, SendOutcome};
 pub use driver::{ChargeLedger, Driver, DriverConfig, DriverStats};
 pub use imprecision::{ImprecisionModel, ImprecisionParams};
 pub use pmu::{Pmu, PmuConfig};

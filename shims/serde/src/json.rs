@@ -105,13 +105,14 @@ impl Value {
     }
 
     /// Parse a JSON document (strict: the whole input must be one value).
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] levels deep.
     ///
     /// # Errors
     /// Returns a [`ParseError`] describing the first offending byte offset.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ParseError::new(pos, "trailing data after value"));
@@ -237,8 +238,16 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile input of nested
+/// brackets would overflow the stack instead of returning an error.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(ParseError::new(*pos, "arrays and objects nest too deeply"));
+    }
     match bytes.get(*pos) {
         None => Err(ParseError::new(*pos, "unexpected end of input")),
         Some(b'n') => expect(bytes, pos, "null").map(|()| Value::Null),
@@ -254,7 +263,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -282,7 +291,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                     return Err(ParseError::new(*pos, "expected ':'"));
                 }
                 *pos += 1;
-                pairs.push((key, parse_value(bytes, pos)?));
+                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -343,14 +352,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 return Err(ParseError::new(*pos, "control byte in string"));
             }
             Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so this is
-                // always well-formed).
-                let s = &bytes[*pos..];
-                let c = std::str::from_utf8(s)
-                    .map_err(|_| ParseError::new(*pos, "invalid utf-8"))?
+                // Consume one UTF-8 character. The input is a &str and `pos`
+                // sits on a character boundary, so the next (at most four)
+                // bytes start with one whole character; decoding only that
+                // window keeps long strings linear.
+                let window = &bytes[*pos..bytes.len().min(*pos + 4)];
+                let valid = match std::str::from_utf8(window) {
+                    Ok(s) => s,
+                    Err(e) => std::str::from_utf8(&window[..e.valid_up_to()]).unwrap_or_default(),
+                };
+                let c = valid
                     .chars()
                     .next()
-                    .unwrap();
+                    .ok_or_else(|| ParseError::new(*pos, "invalid utf-8"))?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -454,6 +468,28 @@ mod tests {
     fn non_finite_floats_render_as_null() {
         assert_eq!(Value::Float(f64::NAN).render(), "null");
         assert_eq!(Value::Float(f64::INFINITY).render(), "null");
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Value::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("nest too deeply"), "{err}");
+        // Far above the limit — deep enough to overflow an unbounded
+        // recursive parser — and unterminated, objects included.
+        assert!(Value::parse(&"[".repeat(50_000)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(50_000)).is_err());
+    }
+
+    #[test]
+    fn multibyte_strings_decode_whole_characters() {
+        let v = Value::parse("[\"h\u{e9}llo \u{1F600}\u{4e16}\"]").unwrap();
+        assert_eq!(
+            v,
+            Value::Array(vec![Value::Str("h\u{e9}llo \u{1F600}\u{4e16}".into())])
+        );
     }
 
     #[test]
