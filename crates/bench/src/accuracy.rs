@@ -11,7 +11,7 @@ use laser_core::ContentionKind;
 use laser_workloads::{BugKind, WorkloadSpec};
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::{score_locations, score_reported, ExperimentScale};
+use crate::runner::{score_locations, score_reported};
 use crate::tool::ToolSpec;
 
 /// One row of Table 1.
@@ -108,7 +108,7 @@ fn sheriff_score(spec: &WorkloadSpec, reported_lines: usize) -> (usize, usize) {
 
 /// Plan the cells Table 1 needs.
 pub fn plan_table1(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         grid.request(&spec, ToolSpec::LaserDetect);
         grid.request(&spec, ToolSpec::Vtune);
         grid.request(&spec, ToolSpec::SheriffDetect);
@@ -121,15 +121,15 @@ pub fn plan_table1(grid: &mut Grid) {
 /// Propagates missing or failed cells.
 pub fn table1_from_grid(grid: &GridResult) -> Result<Table1Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         let laser = score_reported(
-            &spec,
+            spec,
             &grid.tool_run(spec.name, ToolSpec::LaserDetect)?.reported,
         );
-        let vtune = score_reported(&spec, &grid.tool_run(spec.name, ToolSpec::Vtune)?.reported);
+        let vtune = score_reported(spec, &grid.tool_run(spec.name, ToolSpec::Vtune)?.reported);
         let sheriff = grid
             .sheriff_run(spec.name, ToolSpec::SheriffDetect)?
-            .map(|run| sheriff_score(&spec, run.reported.len()));
+            .map(|run| sheriff_score(spec, run.reported.len()));
         rows.push(Table1Row {
             name: spec.name,
             bugs: spec.known_bugs.len(),
@@ -139,16 +139,6 @@ pub fn table1_from_grid(grid: &GridResult) -> Result<Table1Report, ExperimentErr
         });
     }
     Ok(Table1Report { rows })
-}
-
-/// Run the Table 1 experiment on a single-table grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn table1_accuracy(scale: &ExperimentScale) -> Result<Table1Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_table1(&mut grid);
-    table1_from_grid(&grid.run())
 }
 
 /// One row of Table 2: the contention type of a known bug versus what the
@@ -232,7 +222,7 @@ impl Table2Report {
 
 /// Plan the cells Table 2 needs.
 pub fn plan_table2(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         if !spec.has_bugs() {
             continue;
         }
@@ -247,7 +237,7 @@ pub fn plan_table2(grid: &mut Grid) {
 /// Propagates missing or failed cells.
 pub fn table2_from_grid(grid: &GridResult) -> Result<Table2Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         if !spec.has_bugs() {
             continue;
         }
@@ -275,16 +265,6 @@ pub fn table2_from_grid(grid: &GridResult) -> Result<Table2Report, ExperimentErr
         });
     }
     Ok(Table2Report { rows })
-}
-
-/// Run the Table 2 experiment on a single-table grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn table2_types(scale: &ExperimentScale) -> Result<Table2Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_table2(&mut grid);
-    table2_from_grid(&grid.run())
 }
 
 /// One point of Figure 9: total false negatives and false positives across
@@ -328,7 +308,7 @@ impl Fig9Report {
 /// is applied offline to the cached report, just as the paper's detector
 /// allows.
 pub fn plan_fig9(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         grid.request(&spec, ToolSpec::LaserDetectRaw);
     }
 }
@@ -342,7 +322,7 @@ pub fn fig9_from_grid(
     thresholds: &[f64],
 ) -> Result<Fig9Report, ExperimentError> {
     let mut reports = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         let run = grid.tool_run(spec.name, ToolSpec::LaserDetectRaw)?;
         reports.push((spec, run.reported.clone()));
     }
@@ -369,19 +349,6 @@ pub fn fig9_from_grid(
     Ok(Fig9Report { points })
 }
 
-/// Run the Figure 9 threshold sweep on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig9_threshold_sweep(
-    scale: &ExperimentScale,
-    thresholds: &[f64],
-) -> Result<Fig9Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig9(&mut grid);
-    fig9_from_grid(&grid.run(), thresholds)
-}
-
 /// The thresholds of the paper's Figure 9 (32 HITM/s to 64K HITM/s, log scale).
 pub fn fig9_thresholds() -> Vec<f64> {
     (5..=16).map(|p| (1u64 << p) as f64).collect()
@@ -390,19 +357,28 @@ pub fn fig9_thresholds() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentScale;
 
-    fn tiny() -> ExperimentScale {
-        // 0.10 is the smallest scale at which enough HITM records survive
-        // sampling + imprecision for the type classification to be stable.
-        ExperimentScale {
+    /// A grid over four workloads at 0.10, the smallest scale at which
+    /// enough HITM records survive sampling + imprecision for the type
+    /// classification to be stable.
+    fn tiny() -> Grid {
+        Grid::new(ExperimentScale {
             workload_scale: 0.10,
-            only: Some(&["histogram'", "kmeans", "swaptions", "linear_regression"]),
-        }
+        })
+        .with_workload_names(&["histogram'", "kmeans", "swaptions", "linear_regression"])
+        .unwrap()
+    }
+
+    fn run(plan: impl FnOnce(&mut Grid)) -> GridResult {
+        let mut grid = tiny();
+        plan(&mut grid);
+        grid.run()
     }
 
     #[test]
     fn table1_finds_bugs_with_no_false_negatives_on_subset() {
-        let report = table1_accuracy(&tiny()).unwrap();
+        let report = table1_from_grid(&run(plan_table1)).unwrap();
         assert_eq!(report.rows.len(), 4);
         let totals = report.totals();
         assert_eq!(
@@ -417,7 +393,7 @@ mod tests {
 
     #[test]
     fn table2_reports_types_for_buggy_workloads() {
-        let report = table2_types(&tiny()).unwrap();
+        let report = table2_from_grid(&run(plan_table2)).unwrap();
         assert_eq!(report.rows.len(), 3); // histogram', kmeans, linear_regression
         let hist = report.rows.iter().find(|r| r.name == "histogram'").unwrap();
         assert_eq!(
@@ -431,7 +407,7 @@ mod tests {
 
     #[test]
     fn fig9_higher_thresholds_trade_fp_for_fn() {
-        let report = fig9_threshold_sweep(&tiny(), &[1.0, 1_000.0, 10_000_000.0]).unwrap();
+        let report = fig9_from_grid(&run(plan_fig9), &[1.0, 1_000.0, 10_000_000.0]).unwrap();
         assert_eq!(report.points.len(), 3);
         let loosest = report.points[0];
         let strictest = report.points[2];
@@ -451,7 +427,7 @@ mod tests {
 
     #[test]
     fn accuracy_tables_share_detection_cells_in_one_grid() {
-        let mut grid = Grid::new(tiny());
+        let mut grid = tiny();
         plan_table1(&mut grid);
         plan_table2(&mut grid);
         // Table 2's laser-detect/sheriff-detect cells are a subset of

@@ -73,134 +73,118 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use laser_bench::runner::build_under_tool;
-use laser_bench::{geomean, validate_workload_names, PipelineConfig};
+use laser_bench::{geomean, Front, PipelineConfig, RunSpec, SpecError};
 use laser_core::{Laser, LaserConfig, LaserOutcome};
 use laser_machine::{TopologySpec, WorkloadImage};
-use laser_workloads::{registry, BuildOptions, WorkloadSpec};
+use laser_workloads::{find, BuildOptions, WorkloadSpec};
 use serde::json::Value;
 
-const USAGE: &str = "usage: bench_throughput [--scale S] [--workloads w1,w2,...] [--repeats N] \
-                     [--sav V] [--driver-lag L] [--min-ratio R] \
-                     [--output PATH] [--topologies t1,t2,...] [--hotloop-output PATH] \
-                     [--hotloop-baseline PATH] [--min-speedup R]\n\
-                     \n\
-                     --scale S            workload input-size multiplier (default 2.0; below ~0.5\n\
-                     \x20                     runs are too short for the pipeline to amortize)\n\
-                     --workloads ...      comma-separated workload names (default: a contended trio)\n\
-                     --repeats N          timed repeats per mode, best-of scoring (default 5)\n\
-                     --sav V              PEBS sample-after-value (default 1: detector-heaviest)\n\
-                     --driver-lag L       quanta of charge-back lag on the pipelined leg\n\
-                     \x20                     (default 0: byte-identical to inline and asserted\n\
-                     \x20                     so; 1+ defers charges, asserted run-to-run\n\
-                     \x20                     deterministic instead)\n\
-                     --min-ratio R        fail unless geomean(pipelined/inline) >= R on the flat\n\
-                     \x20                     rows (default 1.0; relaxed to 0.90 on single-core\n\
-                     \x20                     hosts, where the pipeline has nothing to overlap)\n\
-                     --output PATH        pipeline JSON report (default BENCH_pipeline.json)\n\
-                     --topologies ...     comma-separated topology presets to sweep in the\n\
-                     \x20                     trajectory (default flat,2s,4s)\n\
-                     --hotloop-output P   trajectory JSON report (default BENCH_hotloop.json)\n\
-                     --hotloop-baseline P committed trajectory to gate against (default: none)\n\
-                     --min-speedup R      with a baseline: fail unless headline steps/sec is at\n\
-                     \x20                     least R x the baseline headline (default 1.0)";
+const GATE_USAGE: &str = concat!(
+    "  --repeats N            timed repeats per mode, best-of scoring (default 5)\n",
+    "  --min-ratio R          fail unless geomean(pipelined/inline) >= R on the flat rows\n",
+    "                         (default 1.0; relaxed to 0.90 on single-core hosts)\n",
+    "  --output PATH          pipeline JSON report (default BENCH_pipeline.json)\n",
+    "  --hotloop-output P     trajectory JSON report (default BENCH_hotloop.json)\n",
+    "  --hotloop-baseline P   committed trajectory to gate against (default: none)\n",
+    "  --min-speedup R        with a baseline: fail unless headline steps/sec is at least\n",
+    "                         R x the baseline headline (default 1.0)\n",
+);
 
-/// Workloads whose contention keeps the detector busy enough for the
-/// pipeline overlap to matter.
-const DEFAULT_WORKLOADS: &[&str] = &["histogram'", "linear_regression", "reverse_index"];
-
-/// Topology presets the trajectory sweeps by default: the paper's flat
-/// machine plus both NUMA presets, so scheduler work at 8 and 16 cores is on
-/// the record.
-const DEFAULT_TOPOLOGIES: &[TopologySpec] = &[
-    TopologySpec::Flat,
-    TopologySpec::DualSocket,
-    TopologySpec::QuadSocket,
-];
+fn usage() -> String {
+    format!(
+        "usage: bench_throughput [FLAG...]\n\nrun flags (the run-spec table):\n{}\ngate flags:\n{GATE_USAGE}",
+        RunSpec::usage(Front::Bench)
+    )
+}
 
 #[derive(Debug)]
 struct Cli {
     scale: f64,
-    workloads: Vec<String>,
-    repeats: usize,
     sav: u32,
     driver_lag: usize,
+    /// Workloads to bench, in the order given (each on every topology).
+    workloads: Vec<String>,
+    topologies: Vec<TopologySpec>,
+    repeats: usize,
     min_ratio: f64,
     output: String,
-    topologies: Vec<TopologySpec>,
     hotloop_output: String,
     hotloop_baseline: Option<String>,
     min_speedup: f64,
 }
 
 impl Cli {
+    /// Parse `args`: the run flags through the run-spec table (validated like
+    /// every other front end's), the gate flags here.
     fn parse(args: &[String]) -> Result<Cli, String> {
-        let mut cli = Cli {
-            scale: 2.0,
-            workloads: DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect(),
-            repeats: 5,
-            sav: 1,
-            driver_lag: 0,
-            min_ratio: 1.0,
-            output: "BENCH_pipeline.json".to_string(),
-            topologies: DEFAULT_TOPOLOGIES.to_vec(),
-            hotloop_output: "BENCH_hotloop.json".to_string(),
-            hotloop_baseline: None,
-            min_speedup: 1.0,
-        };
-        let mut i = 0;
-        let value = |args: &[String], i: usize| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => cli.scale = value(args, i)?.parse().map_err(|e| format!("{e}"))?,
-                "--workloads" => {
-                    cli.workloads = value(args, i)?.split(',').map(str::to_string).collect();
-                }
-                "--repeats" => {
-                    let n: usize = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                    cli.repeats = n.max(1);
-                }
-                "--sav" => cli.sav = value(args, i)?.parse().map_err(|e| format!("{e}"))?,
-                "--driver-lag" => {
-                    cli.driver_lag = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--min-ratio" => {
-                    cli.min_ratio = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--output" => cli.output = value(args, i)?,
-                "--topologies" => {
-                    cli.topologies = value(args, i)?
-                        .split(',')
-                        .map(|t| {
-                            TopologySpec::parse(t).ok_or_else(|| {
-                                format!("unknown topology '{t}' (flat, 2s, 4s, 8s, 32s)")
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "--hotloop-output" => cli.hotloop_output = value(args, i)?,
-                "--hotloop-baseline" => cli.hotloop_baseline = Some(value(args, i)?),
-                "--min-speedup" => {
-                    cli.min_speedup = value(args, i)?.parse().map_err(|e| format!("{e}"))?;
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => return Err(format!("unknown argument '{other}'\n{USAGE}")),
+        let mut repeats = 5;
+        let mut min_ratio = 1.0;
+        let mut output = "BENCH_pipeline.json".to_string();
+        let mut hotloop_output = "BENCH_hotloop.json".to_string();
+        let mut hotloop_baseline = None;
+        let mut min_speedup = 1.0;
+        let (spec, given) = RunSpec::from_args(Front::Bench, args, |rest| {
+            let flag = rest[0].as_str();
+            if flag == "--help" || flag == "-h" {
+                return Err(SpecError(usage()));
             }
-            i += 2;
-        }
-        if cli.topologies.is_empty() || !cli.topologies.contains(&TopologySpec::Flat) {
+            let value = rest
+                .get(1)
+                .ok_or_else(|| SpecError(format!("{flag} needs a value")))?;
+            let number = |v: &str| {
+                v.parse::<f64>()
+                    .map_err(|e| SpecError(format!("{flag}: {e}")))
+            };
+            match flag {
+                "--repeats" => {
+                    repeats = match value.parse::<usize>() {
+                        Ok(n) if n >= 1 => n,
+                        _ => return Err(SpecError(format!("{flag} must be at least 1"))),
+                    };
+                }
+                "--min-ratio" => min_ratio = number(value)?,
+                "--output" => output = value.clone(),
+                "--hotloop-output" => hotloop_output = value.clone(),
+                "--hotloop-baseline" => hotloop_baseline = Some(value.clone()),
+                "--min-speedup" => min_speedup = number(value)?,
+                other => {
+                    return Err(SpecError(format!(
+                        "unknown argument '{other}'\n{}",
+                        usage()
+                    )))
+                }
+            }
+            Ok(2)
+        })
+        .map_err(|e| e.0)?;
+        let spec = spec
+            .with_defaults(Front::Bench, None, &given)
+            .map_err(|e| e.0)?;
+        let (Some(scale), Some(sav), Some(driver_lag), Some(workloads)) =
+            (spec.scale, spec.sav, spec.driver_lag, spec.workloads)
+        else {
+            return Err("the run-spec table lacks a bench_throughput default".to_string());
+        };
+        if !spec.topologies.contains(&TopologySpec::Flat) {
             return Err(
                 "--topologies must include 'flat' (the pipeline gate and the headline \
                         are scored on the flat rows)"
                     .to_string(),
             );
         }
-        let names: Vec<&str> = cli.workloads.iter().map(String::as_str).collect();
-        validate_workload_names(&names, &registry()).map_err(|e| e.to_string())?;
-        Ok(cli)
+        Ok(Cli {
+            scale,
+            sav,
+            driver_lag,
+            workloads,
+            topologies: spec.topologies,
+            repeats,
+            min_ratio,
+            output,
+            hotloop_output,
+            hotloop_baseline,
+            min_speedup,
+        })
     }
 }
 
@@ -501,20 +485,16 @@ fn run(cli: &Cli) -> Result<bool, String> {
              against, so the pipeline gate is relaxed to {gate:.2}"
         );
     }
-    let all = registry();
     let mut scores = Vec::new();
     for name in &cli.workloads {
-        let spec = all
-            .iter()
-            .find(|s| s.name == name.as_str())
-            .expect("names validated at parse time");
+        let spec = find(name).ok_or_else(|| format!("unknown workload '{name}'"))?;
         for topo in &cli.topologies {
             eprintln!(
                 "benching {name}@{} ({} repeats x 2 modes)...",
                 topo.key(),
                 cli.repeats
             );
-            let score = bench_cell(spec, &opts, &config, pipeline, *topo, cli.repeats)?;
+            let score = bench_cell(&spec, &opts, &config, pipeline, *topo, cli.repeats)?;
             eprintln!(
                 "  inline {:>12.0} steps/s | pipelined {:>12.0} steps/s | ratio {:.3}",
                 score.inline_best,
@@ -632,8 +612,18 @@ mod tests {
         assert_eq!(cli.min_ratio, 1.0);
         assert_eq!(cli.driver_lag, 0, "lag 0 keeps the equality assert armed");
         assert_eq!(cli.output, "BENCH_pipeline.json");
-        assert_eq!(cli.workloads, DEFAULT_WORKLOADS);
-        assert_eq!(cli.topologies, DEFAULT_TOPOLOGIES);
+        assert_eq!(
+            cli.workloads,
+            ["histogram'", "linear_regression", "reverse_index"]
+        );
+        assert_eq!(
+            cli.topologies,
+            [
+                TopologySpec::Flat,
+                TopologySpec::DualSocket,
+                TopologySpec::QuadSocket
+            ]
+        );
         assert_eq!(cli.hotloop_output, "BENCH_hotloop.json");
         assert_eq!(cli.hotloop_baseline, None);
         assert_eq!(cli.min_speedup, 1.0);
@@ -658,8 +648,17 @@ mod tests {
     fn workload_names_are_validated_up_front() {
         let err = Cli::parse(&args(&["--workloads", "histogramm"])).unwrap_err();
         assert!(err.contains("unknown workload 'histogramm'"), "{err}");
-        let ok = Cli::parse(&args(&["--workloads", "histogram',swaptions"])).unwrap();
-        assert_eq!(ok.workloads, vec!["histogram'", "swaptions"]);
+        let ok = Cli::parse(&args(&[
+            "--workloads",
+            "histogram',swaptions",
+            "--topologies",
+            "flat",
+        ]))
+        .unwrap();
+        assert_eq!(ok.workloads, ["histogram'", "swaptions"]);
+        // Names are benched in the order given, repeats included.
+        let ok = Cli::parse(&args(&["--workloads", "swaptions,histogram',swaptions"])).unwrap();
+        assert_eq!(ok.workloads, ["swaptions", "histogram'", "swaptions"]);
     }
 
     #[test]
@@ -688,7 +687,7 @@ mod tests {
             "--scale",
             "0.1",
             "--repeats",
-            "0",
+            "3",
             "--min-ratio",
             "0.9",
             "--driver-lag",
@@ -704,13 +703,35 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(cli.scale, 0.1);
-        assert_eq!(cli.repeats, 1, "repeats clamp to at least one");
+        assert_eq!(cli.repeats, 3);
         assert_eq!(cli.min_ratio, 0.9);
         assert_eq!(cli.driver_lag, 2);
         assert_eq!(cli.output, "out.json");
         assert_eq!(cli.hotloop_output, "hot.json");
         assert_eq!(cli.hotloop_baseline.as_deref(), Some("base.json"));
         assert_eq!(cli.min_speedup, 1.5);
+    }
+
+    #[test]
+    fn out_of_range_run_values_are_rejected_before_anything_runs() {
+        for (flags, needle) in [
+            (&["--sav", "0"][..], "--sav must be at least 1"),
+            (&["--repeats", "0"], "--repeats must be at least 1"),
+            (
+                &["--driver-lag", "1025"],
+                "--driver-lag must be at most 1024",
+            ),
+            (&["--scale", "0"], "--scale must be a positive number"),
+            (&["--min-ratio"], "--min-ratio needs a value"),
+        ] {
+            let err = Cli::parse(&args(flags)).unwrap_err();
+            assert!(err.contains(needle), "{flags:?} -> {err}");
+        }
+        let err = Cli::parse(&args(&["--help"])).unwrap_err();
+        assert!(
+            err.contains("--sav V") && err.contains("--min-speedup R"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The experiment driver: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments [all|campaign|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
+//! experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|fig12|fig13|fig14]
 //!             [--scale S] [--threads N] [--only w1,w2,...] [--format text|json|csv]
-//!             [--cell-budget-steps N] [--pipeline]
+//!             [--cell-budget-steps N] [--pipeline] [--driver-lag L]
+//!             [--topology T] [--topology-file FILE] [--cache DIR] [--cache-stats FILE]
+//! experiments scenario FILE... [--threads N] [--cache DIR] [--cache-stats FILE]
 //! ```
 //!
-//! `--scale` multiplies every workload's input size (default 0.4); the paper's
+//! Every flag is a row of the run-specification table
+//! (`laser_bench::spec::KNOBS`): it is parsed, validated and documented
+//! there, exactly like the scenario-file key of the same knob, so a value
+//! is accepted or rejected the same way on the command line and in a file.
+//!
+//! `--scale` multiplies every workload's input size (defaults in `--help`); the paper's
 //! qualitative results hold across scales, larger values just take longer.
 //!
 //! Every figure/table runs through the shared [`Grid`] cell cache: the driver
@@ -66,6 +73,15 @@
 //! zero cells — CI diffs the two to prove it. Cache statistics go to stderr
 //! (never stdout), and `--cache-stats FILE` additionally writes them as JSON
 //! to FILE.
+//!
+//! `scenario FILE...` runs scenario files — the JSON form of the same run
+//! specification — and streams one JSON line per finished cell to stdout as
+//! workers land them, then a `scenario-summary` line per scenario (see
+//! `laser_bench::service`); diagnostics go to stderr. Every file is parsed
+//! and validated before anything simulates, and an invalid one exits 2. The
+//! file is the whole specification: next to it only the host-side
+//! `--threads` (a scenario's own `"threads"` wins), `--cache` and
+//! `--cache-stats` apply, and any other knob flag exits 2.
 
 use std::env;
 use std::io::Write as _;
@@ -82,13 +98,12 @@ use laser_bench::performance::{
     fig10_from_grid, fig11_from_grid, fig12_from_grid, fig13_from_grid, fig13_savs,
     fig14_from_grid, plan_fig10, plan_fig11, plan_fig12, plan_fig13, plan_fig14,
 };
-use laser_bench::scenario::MAX_DRIVER_LAG;
+use laser_bench::spec::{Knob, Scope, KNOBS};
 use laser_bench::xsocket::{plan_xsocket, xsocket_from_grid};
 use laser_bench::{
-    validate_workload_names, Campaign, CampaignProgress, CellBudget, CellCache, CustomTopology,
-    ExperimentScale, Grid, GridResult, PipelineConfig, TopologySpec,
+    run_scenario, AggregateFormat, CampaignProgress, CellCache, Front, Grid, GridResult, RunSpec,
+    ServiceOptions, SpecError,
 };
-use laser_workloads::registry;
 use serde::json::Value;
 
 const FIGURES: &[&str] = &[
@@ -100,61 +115,23 @@ const FIGURES: &[&str] = &[
 /// name.
 const EXTRAS: &[&str] = &["xsocket"];
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Csv,
+/// The flags that may sit next to scenario files: the [`Scope::Host`]
+/// knobs, host-side settings a scenario does not decide.
+fn scenario_host_flags() -> impl Iterator<Item = &'static Knob> {
+    KNOBS.iter().filter(|k| k.scope == Scope::Host)
 }
-
-impl Format {
-    fn parse(s: &str) -> Option<Format> {
-        match s {
-            "text" => Some(Format::Text),
-            "json" => Some(Format::Json),
-            "csv" => Some(Format::Csv),
-            _ => None,
-        }
-    }
-}
-
-const USAGE: &str = "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|\
-                     fig11|fig12|fig13|fig14] [--scale S] [--threads N] [--only w1,w2,...] \
-                     [--format text|json|csv] [--cell-budget-steps N] [--pipeline] \
-                     [--driver-lag L] \
-                     [--topology flat|2s|4s] [--topology-file FILE]\n\
-                     \n\
-                     --scale S             workload input-size multiplier (default 0.4;\n\
-                     \x20                     xsocket defaults to 1.0)\n\
-                     --threads N           campaign worker threads (default: all cores)\n\
-                     --only w1,w2,...      campaign only: restrict to the named workloads\n\
-                     \x20                     (validated up front; unknown names are an error)\n\
-                     --format F            stdout format: text (default), json or csv\n\
-                     --cell-budget-steps N bound every cell at N retired instructions\n\
-                     --pipeline            run each LASER cell's driver+detector stage on\n\
-                     \x20                     a worker thread, overlapped with the simulated\n\
-                     \x20                     quantum (byte-identical output)\n\
-                     --driver-lag L        defer each quantum's PMU charge by L quantum\n\
-                     \x20                     boundaries (implies --pipeline; 0, the\n\
-                     \x20                     default, is byte-identical to inline; L >= 1\n\
-                     \x20                     is deterministic and usually faster)\n\
-                     --topology T          deploy every cell on a socket-topology preset:\n\
-                     \x20                     flat (default, single socket), 2s, 4s, 8s or\n\
-                     \x20                     32s (4 cores/socket, threads scaled to match);\n\
-                     \x20                     xsocket always sweeps flat/2s/4s/8s\n\
-                     --topology-file FILE  campaign only: deploy every cell on a bespoke\n\
-                     \x20                     asymmetric layout loaded from a JSON spec\n\
-                     \x20                     (validated up front; replaces --topology and\n\
-                     \x20                     is fingerprinted into the cell cache)\n\
-                     --cache DIR           persistent cell cache: load previously-computed\n\
-                     \x20                     cells instead of simulating, write new ones\n\
-                     \x20                     back (warm reruns are byte-identical and\n\
-                     \x20                     simulate nothing)\n\
-                     --cache-stats FILE    write cache hit/miss statistics as JSON to FILE\n\
-                     \x20                     (requires --cache; stderr always gets them)";
 
 fn usage() -> ExitCode {
-    eprintln!("{USAGE}");
+    let host: String = scenario_host_flags()
+        .filter_map(|k| k.synopsis(Front::Experiments))
+        .map(|s| format!(" [{s}]"))
+        .collect();
+    eprintln!(
+        "usage: experiments [all|campaign|xsocket|fig2|fig3|table1|table2|fig9|fig10|fig11|\
+         fig12|fig13|fig14] [FLAG...]\n       \
+         experiments scenario FILE...{host}\n\n{}",
+        RunSpec::usage(Front::Experiments)
+    );
     ExitCode::from(2)
 }
 
@@ -199,37 +176,12 @@ fn write_stdout(payload: &str) -> Result<(), String> {
         .map_err(|e| format!("failed to write to stdout: {e}"))
 }
 
-#[allow(clippy::too_many_arguments)] // straight CLI-flag plumbing
 fn run_campaign(
-    scale: &ExperimentScale,
-    threads: Option<usize>,
-    only: &Option<Vec<String>>,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    custom: Option<Arc<CustomTopology>>,
-    format: Format,
+    spec: &RunSpec,
+    format: AggregateFormat,
     cache: &Option<Arc<CellCache>>,
 ) -> Result<(), String> {
-    let mut campaign = Campaign::default()
-        .with_options(scale.options())
-        .with_cell_budget(budget)
-        .with_pipeline(pipeline)
-        .with_topology(topology);
-    if let Some(custom) = custom {
-        campaign = campaign.with_custom_topology(custom);
-    }
-    if let Some(names) = only {
-        // The names were validated at argument-parse time; revalidation here
-        // keeps `Campaign::with_workload_names` the single source of truth.
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        campaign = campaign
-            .with_workload_names(&names)
-            .map_err(|e| e.to_string())?;
-    }
-    if let Some(n) = threads {
-        campaign = campaign.with_threads(n);
-    }
+    let mut campaign = spec.campaign().map_err(|e| e.to_string())?;
     if let Some(cache) = cache {
         campaign = campaign.with_cache(Arc::clone(cache));
     }
@@ -240,10 +192,51 @@ fn run_campaign(
     );
     let result = campaign.run_with_progress(announce);
     match format {
-        Format::Text => write_stdout(&result.render()),
-        Format::Json => write_stdout(&format!("{}\n", result.to_json().render())),
-        Format::Csv => write_stdout(&result.to_csv()),
+        AggregateFormat::Text => write_stdout(&result.render()),
+        AggregateFormat::Json => write_stdout(&format!("{}\n", result.to_json().render())),
+        AggregateFormat::Csv => write_stdout(&result.to_csv()),
     }
+}
+
+/// Run scenario files: parse and validate every one before anything
+/// simulates, then stream each in turn. Returns `Err((exit code, message))`
+/// — 2 for an unreadable or invalid scenario, 1 for a runtime failure.
+fn run_scenarios(
+    files: &[String],
+    host: &RunSpec,
+    cache: &Option<Arc<CellCache>>,
+) -> Result<(), (u8, String)> {
+    let mut scenarios = Vec::with_capacity(files.len());
+    for file in files {
+        let text = std::fs::read_to_string(file)
+            .map_err(|e| (2, format!("failed to read {file}: {e}")))?;
+        let scenario = RunSpec::parse(&text).map_err(|e| (2, format!("{file}: {e}")))?;
+        scenarios.push((file, scenario));
+    }
+    let options = ServiceOptions {
+        threads: host.threads,
+        cache: cache.clone(),
+    };
+    for (file, scenario) in scenarios {
+        eprintln!(
+            "serving scenario '{}' from {file}: {} cells",
+            scenario.name,
+            scenario.plan().len()
+        );
+        let summary = run_scenario(&scenario, &options, std::io::stdout())
+            .map_err(|e| (1, format!("{file}: {e}")))?;
+        eprintln!(
+            "scenario '{}' done: {} cells, {} ok, {} failed, {} cached, {} simulated",
+            summary.scenario,
+            summary.cells,
+            summary.ok,
+            summary.failed,
+            summary.cached,
+            summary.simulated
+        );
+        finish_cache(cache, &host.cache_stats).map_err(|e| (1, e))?;
+    }
+    Ok(())
 }
 
 /// Experiments that do not run workloads through the grid, so a topology
@@ -269,107 +262,78 @@ fn plan_one(which: &str, grid: &mut Grid) {
     }
 }
 
-/// Derive one experiment from the shared grid and format it. Returns the
-/// stdout payload: `(text, json, csv)` selected by `format`.
+/// Derive one experiment from the shared grid and format it as `format`.
 fn derive_one(
     which: &str,
     grid: &Option<GridResult>,
-    scale: &ExperimentScale,
+    workload_scale: f64,
     threads: usize,
-    format: Format,
+    format: AggregateFormat,
 ) -> Result<String, String> {
     let grid = |name: &str| -> Result<&GridResult, String> {
         grid.as_ref()
             .ok_or_else(|| format!("experiment {name} needs a grid (internal error)"))
     };
-    let emit = |report: &dyn Emit| match format {
-        Format::Text => unreachable!("text is rendered per report"),
-        Format::Json => format!("{}\n", report.to_json().render()),
-        Format::Csv => report.to_csv(),
+    let emit = |text: String, report: &dyn Emit| match format {
+        AggregateFormat::Text => text,
+        AggregateFormat::Json => format!("{}\n", report.to_json().render()),
+        AggregateFormat::Csv => report.to_csv(),
     };
     let err = |e: laser_bench::ExperimentError| format!("experiment {which} failed: {e}");
     match which {
         "fig2" => match format {
-            Format::Text => Ok(fig2_layout()),
-            Format::Json => Ok(format!(
+            AggregateFormat::Text => Ok(fig2_layout()),
+            AggregateFormat::Json => Ok(format!(
                 "{}\n",
                 Value::object()
                     .set("kind", "fig2")
                     .set("text", fig2_layout())
                     .render()
             )),
-            Format::Csv => Err("fig2 is a layout demonstration with no csv form".to_string()),
+            AggregateFormat::Csv => {
+                Err("fig2 is a layout demonstration with no csv form".to_string())
+            }
         },
         "fig3" => {
-            let per_category = if scale.workload_scale < 0.2 { 5 } else { 40 };
+            let per_category = if workload_scale < 0.2 { 5 } else { 40 };
             let report = fig3_characterization_on(per_category, threads);
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "table1" => {
             let report = table1_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "table2" => {
             let report = table2_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig9" => {
             let report = fig9_from_grid(grid(which)?, &fig9_thresholds()).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig10" => {
             let report = fig10_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig11" => {
             let report = fig11_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig12" => {
             let report = fig12_from_grid(grid(which)?, 0.10).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig13" => {
             let report = fig13_from_grid(grid(which)?, &fig13_savs()).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "fig14" => {
             let report = fig14_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         "xsocket" => {
             let report = xsocket_from_grid(grid(which)?).map_err(err)?;
-            Ok(match format {
-                Format::Text => report.render(),
-                _ => emit(&report),
-            })
+            Ok(emit(report.render(), &report))
         }
         other => Err(format!("unknown experiment '{other}'")),
     }
@@ -377,19 +341,15 @@ fn derive_one(
 
 fn run_figures(
     selected: &[&str],
-    scale: &ExperimentScale,
-    threads: Option<usize>,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    format: Format,
+    spec: &RunSpec,
+    format: AggregateFormat,
     cache: &Option<Arc<CellCache>>,
 ) -> Result<(), String> {
     // Resolve format incompatibilities before any cell is simulated: fig2
     // has no csv form, so an `all --format csv` run skips it (with a note)
     // instead of discarding the whole grid's work at derive time, and an
     // explicit `fig2 --format csv` fails up front.
-    let selected: Vec<&str> = if format == Format::Csv && selected.contains(&"fig2") {
+    let selected: Vec<&str> = if format == AggregateFormat::Csv && selected.contains(&"fig2") {
         if selected.len() == 1 {
             return Err("fig2 is a layout demonstration with no csv form".to_string());
         }
@@ -404,9 +364,8 @@ fn run_figures(
     // derived outside the workload grid, so a topology preset cannot apply
     // to them — skip them with a note rather than silently reporting flat
     // results as if they were 2s/4s data, and fail an explicit request.
-    let selected: Vec<&str> = if topology != TopologySpec::Flat
-        && selected.iter().any(|s| topology_independent(s))
-    {
+    let flat = spec.topology() == laser_bench::TopologySpec::Flat;
+    let selected: Vec<&str> = if !flat && selected.iter().any(|s| topology_independent(s)) {
         if selected.iter().all(|s| topology_independent(s)) {
             return Err(format!(
                 "{} is derived outside the workload grid; --topology does not apply",
@@ -428,11 +387,12 @@ fn run_figures(
     // One grid for everything selected: shared cells (every figure wants the
     // native baseline, both tables want laser-detect, ...) are planned once
     // and simulated once.
-    let mut grid = Grid::new(*scale)
-        .with_cell_budget(budget)
-        .with_pipeline(pipeline)
-        .with_topology(topology);
-    if let Some(n) = threads {
+    let scale = spec.experiment_scale();
+    let mut grid = Grid::new(scale)
+        .with_cell_budget(spec.budget())
+        .with_pipeline(spec.pipeline_config())
+        .with_topology(spec.topology());
+    if let Some(n) = spec.threads {
         grid = grid.with_threads(n);
     }
     if let Some(cache) = cache {
@@ -452,18 +412,24 @@ fn run_figures(
 
     let many = selected.len() > 1;
     for which in &selected {
-        let payload = derive_one(which, &grid_result, scale, grid_threads, format)?;
+        let payload = derive_one(
+            which,
+            &grid_result,
+            scale.workload_scale,
+            grid_threads,
+            format,
+        )?;
         let mut block = String::new();
         match format {
-            Format::Text => {
+            AggregateFormat::Text => {
                 block.push_str(&format!(
                     "==================== {which} ====================\n"
                 ));
                 block.push_str(&payload);
                 block.push('\n');
             }
-            Format::Json => block.push_str(&payload),
-            Format::Csv => {
+            AggregateFormat::Json => block.push_str(&payload),
+            AggregateFormat::Csv => {
                 if many {
                     block.push_str(&format!("# {which}\n"));
                 }
@@ -482,30 +448,19 @@ fn run_figures(
 #[derive(Debug, PartialEq)]
 struct Cli {
     which: String,
-    /// `--scale`, when given; each subcommand otherwise picks its default
-    /// (0.4 for the figures, 1.0 for `xsocket`, whose repair trigger needs
-    /// full-length contended phases to fire early enough to matter).
-    scale: Option<f64>,
-    threads: Option<usize>,
-    only: Option<Vec<String>>,
-    format: Format,
-    budget: CellBudget,
-    pipeline: PipelineConfig,
-    topology: TopologySpec,
-    /// `--topology-file FILE`: a bespoke `Topology::asymmetric` layout,
-    /// loaded and validated before anything is simulated. Campaign-only,
-    /// and mutually exclusive with a non-flat `--topology` preset.
-    topology_file: Option<String>,
-    /// `--cache DIR`: persistent cell-cache directory.
-    cache: Option<String>,
-    /// `--cache-stats FILE`: where to write cache statistics as JSON.
-    cache_stats: Option<String>,
+    /// Scenario files (`scenario` only).
+    files: Vec<String>,
+    /// Every knob flag, parsed through the run-spec table, with the table's
+    /// defaults for the rest.
+    spec: RunSpec,
+    /// The output format (the `--format` knob).
+    format: AggregateFormat,
 }
 
 /// Why the command line was rejected.
 #[derive(Debug, PartialEq)]
 enum CliError {
-    /// Malformed flags (or an explicit `--help`): print usage, exit 2.
+    /// Malformed subcommand (or an explicit `--help`): print usage, exit 2.
     Usage,
     /// A well-formed but invalid request (e.g. an unknown `--only` name):
     /// print the message, then usage, exit 2.
@@ -515,159 +470,79 @@ enum CliError {
 impl Cli {
     /// Parse and validate `args` (the command line without the program name).
     ///
-    /// Validation happens *up front*, before anything is simulated: every
-    /// name in an `--only` list must exist in the workload registry, so a
-    /// typo is an immediate error rather than a silently smaller grid. (The
-    /// registry's odd duck is the alternative-input `histogram'`, whose
-    /// apostrophe is part of the name.) `--topology` names are validated the
-    /// same way against the preset set.
+    /// Validation happens *up front*, before anything is simulated, through
+    /// the run-spec table: every `--only` name must exist in the workload
+    /// registry, every number must be in range, every preset name must
+    /// exist — the same checks a scenario file's keys get.
     fn parse(args: &[String]) -> Result<Cli, CliError> {
-        let mut cli = Cli {
-            which: "all".to_string(),
-            scale: None,
-            threads: None,
-            only: None,
-            format: Format::Text,
-            budget: CellBudget::default(),
-            pipeline: PipelineConfig::default(),
-            topology: TopologySpec::Flat,
-            topology_file: None,
-            cache: None,
-            cache_stats: None,
-        };
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--scale" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.scale = Some(v);
-                    i += 2;
+        let mut which: Option<String> = None;
+        let mut files = Vec::new();
+        let mut help = false;
+        let (spec, given) = RunSpec::from_args(Front::Experiments, args, |rest| {
+            let arg = rest[0].as_str();
+            match arg {
+                "--help" | "-h" => help = true,
+                flag if flag.starts_with('-') => {
+                    return Err(SpecError(format!("unknown flag '{flag}'")));
                 }
-                "--threads" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<usize>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.threads = Some(v);
-                    i += 2;
-                }
-                "--only" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.only = Some(v.split(',').map(str::to_string).collect());
-                    i += 2;
-                }
-                "--format" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| Format::parse(s)) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.format = v;
-                    i += 2;
-                }
-                "--cell-budget-steps" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.budget = CellBudget::steps(v);
-                    i += 2;
-                }
-                "--pipeline" => {
-                    // Set the flag in place so `--pipeline` composes with
-                    // `--driver-lag` in either order.
-                    cli.pipeline.enabled = true;
-                    i += 1;
-                }
-                "--driver-lag" => {
-                    let Some(v) = args.get(i + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                        return Err(CliError::Usage);
-                    };
-                    if v > MAX_DRIVER_LAG {
-                        return Err(CliError::Invalid(format!(
-                            "--driver-lag must be at most {MAX_DRIVER_LAG}"
-                        )));
-                    }
-                    cli.pipeline = cli.pipeline.with_driver_lag(v as usize);
-                    cli.pipeline.enabled = true;
-                    i += 2;
-                }
-                "--topology" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.topology = TopologySpec::parse(v).ok_or_else(|| {
-                        CliError::Invalid(format!(
-                            "unknown topology '{v}' (expected flat, 2s, 4s, 8s or 32s)"
-                        ))
-                    })?;
-                    i += 2;
-                }
-                "--topology-file" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.topology_file = Some(v.clone());
-                    i += 2;
-                }
-                "--cache" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache = Some(v.clone());
-                    i += 2;
-                }
-                "--cache-stats" => {
-                    let Some(v) = args.get(i + 1) else {
-                        return Err(CliError::Usage);
-                    };
-                    cli.cache_stats = Some(v.clone());
-                    i += 2;
-                }
-                "--help" | "-h" => return Err(CliError::Usage),
-                name => {
-                    cli.which = name.to_string();
-                    i += 1;
-                }
+                _ if which.is_none() => which = Some(arg.to_string()),
+                _ => files.push(arg.to_string()),
             }
+            Ok(1)
+        })
+        .map_err(|e| CliError::Invalid(e.to_string()))?;
+        if help {
+            return Err(CliError::Usage);
         }
-
-        if cli.cache_stats.is_some() && cli.cache.is_none() {
-            return Err(CliError::Invalid(
-                "--cache-stats requires --cache".to_string(),
-            ));
-        }
-        if cli.topology_file.is_some() {
-            if cli.which != "campaign" {
+        let which = which.unwrap_or_else(|| "all".to_string());
+        if which == "scenario" {
+            if files.is_empty() {
                 return Err(CliError::Invalid(
-                    "--topology-file only applies to the campaign subcommand".to_string(),
+                    "scenario needs at least one scenario FILE".to_string(),
                 ));
             }
-            if cli.topology != TopologySpec::Flat {
-                return Err(CliError::Invalid(
-                    "--topology-file replaces the topology axis; drop --topology".to_string(),
-                ));
+            if let Some(knob) = given.iter().find(|k| k.scope != Scope::Host) {
+                let host: Vec<&str> = scenario_host_flags().map(flag).collect();
+                return Err(CliError::Invalid(format!(
+                    "{}: a scenario file is the whole run specification; next to it only \
+                     {} apply",
+                    flag(knob),
+                    host.join(", ")
+                )));
             }
-        }
-        if let Some(names) = &cli.only {
-            if cli.which != "campaign" {
-                return Err(CliError::Invalid(
-                    "--only only applies to the campaign subcommand".to_string(),
-                ));
-            }
-            let names: Vec<&str> = names.iter().map(String::as_str).collect();
-            validate_workload_names(&names, &registry())
-                .map_err(|e| CliError::Invalid(e.to_string()))?;
-        }
-        if cli.which != "campaign"
-            && cli.which != "all"
-            && !FIGURES.contains(&cli.which.as_str())
-            && !EXTRAS.contains(&cli.which.as_str())
+        } else if !files.is_empty()
+            || which != "campaign"
+                && which != "all"
+                && !FIGURES.contains(&which.as_str())
+                && !EXTRAS.contains(&which.as_str())
         {
             return Err(CliError::Usage);
         }
-        Ok(cli)
+        if which != "campaign" {
+            if let Some(knob) = given.iter().find(|k| k.scope == Scope::Campaign) {
+                return Err(CliError::Invalid(format!(
+                    "{} only applies to the campaign subcommand",
+                    flag(knob)
+                )));
+            }
+        }
+        let spec = spec
+            .with_defaults(Front::Experiments, Some(&which), &given)
+            .map_err(|e| CliError::Invalid(e.to_string()))?;
+        let format = spec
+            .format
+            .ok_or_else(|| CliError::Invalid("--format has no default".to_string()))?;
+        Ok(Cli {
+            which,
+            files,
+            spec,
+            format,
+        })
     }
+}
+
+fn flag(knob: &Knob) -> &'static str {
+    knob.flag(Front::Experiments).unwrap_or(knob.name)
 }
 
 /// After a cached run: report statistics to stderr (never stdout — the
@@ -700,7 +575,8 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let cache = match &cli.cache {
+    let spec = &cli.spec;
+    let cache = match &spec.cache {
         Some(dir) => match CellCache::open(dir) {
             Ok(cache) => Some(Arc::new(cache)),
             Err(e) => {
@@ -710,71 +586,31 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    let scale = ExperimentScale {
-        workload_scale: cli.scale.unwrap_or(if cli.which == "xsocket" {
-            1.0
-        } else {
-            ExperimentScale::default().workload_scale
-        }),
-        ..ExperimentScale::default()
+    let format = cli.format;
+    let outcome = match cli.which.as_str() {
+        "scenario" => run_scenarios(&cli.files, spec, &cache),
+        "campaign" => run_campaign(spec, format, &cache)
+            .and_then(|()| finish_cache(&cache, &spec.cache_stats))
+            .map_err(|msg| (2, msg)),
+        which => {
+            let selected: Vec<&str> = if which == "all" {
+                FIGURES.to_vec()
+            } else {
+                vec![which]
+            };
+            run_figures(&selected, spec, format, &cache)
+                .and_then(|()| finish_cache(&cache, &spec.cache_stats))
+                .map_err(|msg| (1, msg))
+        }
     };
-
-    // Load and validate a bespoke layout up front: a malformed file is a
-    // usage-class error (exit 2), caught before anything is simulated.
-    let custom = match &cli.topology_file {
-        Some(path) => match CustomTopology::load(path) {
-            Ok(custom) => Some(Arc::new(custom)),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
-    if cli.which == "campaign" {
-        return match run_campaign(
-            &scale,
-            cli.threads,
-            &cli.only,
-            cli.budget,
-            cli.pipeline,
-            cli.topology,
-            custom,
-            cli.format,
-            &cache,
-        )
-        .and_then(|()| finish_cache(&cache, &cli.cache_stats))
-        {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let selected: Vec<&str> = if cli.which == "all" {
-        FIGURES.to_vec()
-    } else {
-        vec![cli.which.as_str()]
-    };
-    match run_figures(
-        &selected,
-        &scale,
-        cli.threads,
-        cli.budget,
-        cli.pipeline,
-        cli.topology,
-        cli.format,
-        &cache,
-    )
-    .and_then(|()| finish_cache(&cache, &cli.cache_stats))
-    {
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err((code, msg)) => {
             eprintln!("{msg}");
-            ExitCode::FAILURE
+            if code == 2 && cli.which == "scenario" {
+                return usage();
+            }
+            ExitCode::from(code)
         }
     }
 }
@@ -782,211 +618,129 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use laser_bench::TopologySpec;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn invalid(list: &[&str]) -> String {
+        match Cli::parse(&args(list)) {
+            Err(CliError::Invalid(msg)) => msg,
+            other => panic!("{list:?}: expected Invalid, got {other:?}"),
+        }
     }
 
     #[test]
     fn defaults_parse_to_all_figures_inline() {
         let cli = Cli::parse(&[]).unwrap();
         assert_eq!(cli.which, "all");
-        assert_eq!(cli.format, Format::Text);
-        assert!(!cli.pipeline.enabled);
-        assert!(cli.budget.is_unlimited());
-        assert_eq!(cli.only, None);
-        assert_eq!(cli.topology, TopologySpec::Flat);
+        assert_eq!(cli.format, AggregateFormat::Text);
+        assert_eq!(cli.spec.scale, Some(0.4));
+        assert_eq!(cli.spec.topology(), TopologySpec::Flat);
+        assert_eq!(cli.spec.pipeline_config(), Default::default());
+        assert_eq!(cli.spec.threads, None);
+        // xsocket has a scale default of its own; an explicit flag wins.
+        let xsocket = Cli::parse(&args(&["xsocket"])).unwrap();
+        assert_eq!(xsocket.spec.scale, Some(1.0));
     }
 
     #[test]
-    fn topology_names_are_validated_up_front() {
-        // Every preset parses...
-        for (name, spec) in [
-            ("flat", TopologySpec::Flat),
-            ("2s", TopologySpec::DualSocket),
-            ("4s", TopologySpec::QuadSocket),
-            ("8s", TopologySpec::OctoSocket),
-            ("32s", TopologySpec::ThirtyTwoSocket),
-        ] {
-            let cli = Cli::parse(&args(&["campaign", "--topology", name])).unwrap();
-            assert_eq!(cli.topology, spec);
-        }
-        // ...an unknown name is rejected before anything simulates, with the
-        // valid set in the message...
-        let err = Cli::parse(&args(&["campaign", "--topology", "16s"])).unwrap_err();
-        match err {
-            CliError::Invalid(msg) => {
-                assert!(msg.contains("unknown topology '16s'"), "{msg}");
-                assert!(msg.contains("flat, 2s, 4s, 8s or 32s"), "{msg}");
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        // ...and a dangling flag is a usage error.
-        assert_eq!(
-            Cli::parse(&args(&["--topology"])).unwrap_err(),
-            CliError::Usage
-        );
-    }
-
-    #[test]
-    fn xsocket_is_a_valid_subcommand_but_not_part_of_all() {
-        let cli = Cli::parse(&args(&["xsocket", "--topology", "2s"])).unwrap();
-        assert_eq!(cli.which, "xsocket");
-        assert_eq!(cli.scale, None, "scale default resolves per subcommand");
-        assert!(!FIGURES.contains(&"xsocket"), "xsocket must not join `all`");
-        assert!(EXTRAS.contains(&"xsocket"));
-        let cli = Cli::parse(&args(&["xsocket", "--scale", "0.5"])).unwrap();
-        assert_eq!(cli.scale, Some(0.5));
-    }
-
-    #[test]
-    fn pipeline_flag_enables_the_pipelined_deployment() {
-        let cli = Cli::parse(&args(&["campaign", "--pipeline", "--threads", "2"])).unwrap();
-        assert!(cli.pipeline.enabled);
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
-        assert_eq!(cli.threads, Some(2));
-    }
-
-    #[test]
-    fn driver_lag_flag_implies_the_pipelined_deployment() {
-        // A lag of 0 is the inline-identical pipeline default...
-        let cli = Cli::parse(&args(&["campaign", "--driver-lag", "0"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined());
-        // ...and lag >= 1 defers the charge-back by that many boundaries.
-        let cli = Cli::parse(&args(&["campaign", "--driver-lag", "2"])).unwrap();
-        assert_eq!(cli.pipeline, PipelineConfig::pipelined().with_driver_lag(2));
-        assert!(cli.pipeline.enabled, "--driver-lag implies --pipeline");
-        // Flag order must not matter, and it composes with --pipeline.
-        let ab = Cli::parse(&args(&["campaign", "--driver-lag", "1", "--pipeline"])).unwrap();
-        let ba = Cli::parse(&args(&["campaign", "--pipeline", "--driver-lag", "1"])).unwrap();
-        assert_eq!(ab.pipeline, ba.pipeline);
-        assert_eq!(ab.pipeline, PipelineConfig::pipelined().with_driver_lag(1));
-        // Out-of-range and malformed lags are rejected up front.
-        let over = (MAX_DRIVER_LAG + 1).to_string();
-        assert_eq!(
-            Cli::parse(&args(&["campaign", "--driver-lag", &over])).unwrap_err(),
-            CliError::Invalid(format!("--driver-lag must be at most {MAX_DRIVER_LAG}"))
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--driver-lag"])).unwrap_err(),
-            CliError::Usage
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--driver-lag", "soon"])).unwrap_err(),
-            CliError::Usage
-        );
-    }
-
-    #[test]
-    fn topology_file_is_campaign_only_and_replaces_the_preset_axis() {
-        // The flag is stored for main() to load after parsing...
-        let cli = Cli::parse(&args(&["campaign", "--topology-file", "layout.json"])).unwrap();
-        assert_eq!(cli.topology_file, Some("layout.json".to_string()));
-        assert_eq!(cli.topology, TopologySpec::Flat);
-        // ...an explicit flat preset is redundant but harmless...
-        Cli::parse(&args(&[
+    fn knob_flags_build_the_run_spec() {
+        let cli = Cli::parse(&args(&[
             "campaign",
             "--topology",
-            "flat",
-            "--topology-file",
-            "layout.json",
+            "8s",
+            "--pipeline",
+            "--threads",
+            "2",
+            "--only",
+            "histogram',swaptions",
         ]))
         .unwrap();
-        // ...while a non-flat preset would fight the override...
-        assert_eq!(
-            Cli::parse(&args(&[
-                "campaign",
-                "--topology",
-                "2s",
-                "--topology-file",
-                "layout.json",
-            ]))
-            .unwrap_err(),
-            CliError::Invalid(
-                "--topology-file replaces the topology axis; drop --topology".to_string()
-            )
-        );
-        // ...figures and xsocket sweep presets, so the override is
-        // campaign-only...
-        assert_eq!(
-            Cli::parse(&args(&["xsocket", "--topology-file", "layout.json"])).unwrap_err(),
-            CliError::Invalid(
-                "--topology-file only applies to the campaign subcommand".to_string()
-            )
-        );
-        // ...and a dangling flag is a usage error.
-        assert_eq!(
-            Cli::parse(&args(&["--topology-file"])).unwrap_err(),
-            CliError::Usage
-        );
+        assert_eq!(cli.spec.topology(), TopologySpec::OctoSocket);
+        assert!(cli.spec.pipeline_config().enabled);
+        assert_eq!(cli.spec.threads, Some(2));
+        let cli = Cli::parse(&args(&["xsocket", "--scale", "0.5"])).unwrap();
+        assert_eq!(cli.which, "xsocket");
+        assert_eq!(cli.spec.scale, Some(0.5));
+        assert!(!FIGURES.contains(&"xsocket"), "xsocket must not join `all`");
     }
 
     #[test]
-    fn only_names_are_validated_before_anything_runs() {
-        // The valid list parses...
-        let cli = Cli::parse(&args(&["campaign", "--only", "histogram',swaptions"])).unwrap();
-        assert_eq!(
-            cli.only,
-            Some(vec!["histogram'".to_string(), "swaptions".to_string()])
-        );
-        // ...a typo'd name is rejected up front, before anything simulates,
-        // with a hint about the apostrophe-carrying `histogram'`...
-        let err = Cli::parse(&args(&["campaign", "--only", "histogramm,swaptions"])).unwrap_err();
-        match err {
-            CliError::Invalid(msg) => {
-                assert!(msg.contains("unknown workload 'histogramm'"), "{msg}");
-                assert!(msg.contains("histogram'"), "{msg}");
-            }
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        // ...as is an empty entry from a stray comma.
-        assert!(matches!(
-            Cli::parse(&args(&["campaign", "--only", "swaptions,"])).unwrap_err(),
-            CliError::Invalid(_)
-        ));
+    fn invalid_values_are_rejected_with_the_spec_message() {
+        assert!(invalid(&["--scale", "0"]).contains("--scale must be a positive number"));
+        assert!(invalid(&["--threads", "0"]).contains("--threads must be at least 1"));
+        assert!(invalid(&["campaign", "--topology", "16s"]).contains("unknown topology '16s'"));
+        assert!(invalid(&["campaign", "--only", "histogramm"]).contains("histogram'"));
+        assert!(invalid(&["--cache-stats", "s.json"]).contains("requires --cache"));
+        assert!(invalid(&["--bogus"]).contains("unknown flag '--bogus'"));
     }
 
     #[test]
-    fn only_outside_campaign_is_rejected() {
+    fn campaign_only_knobs_are_rejected_elsewhere() {
         assert_eq!(
-            Cli::parse(&args(&["fig10", "--only", "swaptions"])).unwrap_err(),
-            CliError::Invalid("--only only applies to the campaign subcommand".to_string())
+            invalid(&["fig10", "--only", "swaptions"]),
+            "--only only applies to the campaign subcommand"
         );
+        let layout = std::env::temp_dir().join("experiments-cli-layout.json");
+        std::fs::write(
+            &layout,
+            r#"{"name": "solo", "core_blocks": [4],
+                "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
+        )
+        .unwrap();
+        let layout = layout.to_str().unwrap();
+        assert_eq!(
+            invalid(&["xsocket", "--topology-file", layout]),
+            "--topology-file only applies to the campaign subcommand"
+        );
+        // A bespoke layout replaces the preset axis.
+        assert!(
+            invalid(&["campaign", "--topology", "2s", "--topology-file", layout])
+                .contains("replaces the topology axis")
+        );
+        assert!(Cli::parse(&args(&["campaign", "--topology-file", layout]))
+            .unwrap()
+            .spec
+            .custom_topology
+            .is_some());
     }
 
     #[test]
-    fn cache_flags_parse_and_validate() {
+    fn scenario_takes_files_and_only_host_knobs() {
         let cli = Cli::parse(&args(&[
-            "all",
+            "scenario",
+            "a.json",
+            "b.json",
+            "--threads",
+            "2",
             "--cache",
-            "cells",
-            "--cache-stats",
-            "stats.json",
+            "dir",
         ]))
         .unwrap();
-        assert_eq!(cli.cache, Some("cells".to_string()));
-        assert_eq!(cli.cache_stats, Some("stats.json".to_string()));
-        // Stats without a cache make no sense and are rejected up front...
-        assert_eq!(
-            Cli::parse(&args(&["all", "--cache-stats", "stats.json"])).unwrap_err(),
-            CliError::Invalid("--cache-stats requires --cache".to_string())
-        );
-        // ...and dangling flags are usage errors.
-        assert_eq!(
-            Cli::parse(&args(&["--cache"])).unwrap_err(),
-            CliError::Usage
-        );
-        assert_eq!(
-            Cli::parse(&args(&["--cache-stats"])).unwrap_err(),
-            CliError::Usage
-        );
+        assert_eq!(cli.files, ["a.json", "b.json"]);
+        assert_eq!(cli.spec.threads, Some(2));
+        assert!(invalid(&["scenario"]).contains("at least one scenario FILE"));
+        for knob in [
+            &["--scale", "0.5"][..],
+            &["--pipeline"],
+            &["--format", "csv"],
+        ] {
+            let mut list = vec!["scenario", "a.json"];
+            list.extend_from_slice(knob);
+            assert!(
+                invalid(&list).contains("whole run specification"),
+                "{list:?}"
+            );
+        }
     }
 
     #[test]
-    fn unknown_subcommands_and_malformed_flags_are_usage_errors() {
+    fn unknown_subcommands_and_help_are_usage_errors() {
         assert_eq!(Cli::parse(&args(&["fig99"])).unwrap_err(), CliError::Usage);
         assert_eq!(
-            Cli::parse(&args(&["--scale", "fast"])).unwrap_err(),
+            Cli::parse(&args(&["fig10", "fig11"])).unwrap_err(),
             CliError::Usage
         );
         assert_eq!(Cli::parse(&args(&["--help"])).unwrap_err(), CliError::Usage);

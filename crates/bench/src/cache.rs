@@ -36,19 +36,18 @@
 //! byte-identical between cold and warm runs.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use laser_baselines::SheriffFailure;
-use laser_core::{CellBudget, ContentionKind, PipelineConfig, StopReason, TopologySpec};
+use laser_core::{CellBudget, ContentionKind, PipelineConfig, StopReason};
 use laser_workloads::BuildOptions;
 use serde::json::Value;
 
-use crate::topofile::CustomTopology;
-
 use crate::campaign::CellResult;
 use crate::tool::{ReportedLine, ToolFailure, ToolRun};
+use crate::topofile::Deployment;
 
 /// Version salt baked into every cache file.
 ///
@@ -60,7 +59,8 @@ use crate::tool::{ReportedLine, ToolFailure, ToolRun};
 pub const CACHE_SALT: u32 = 1;
 
 /// The full configuration of one campaign cell, as fingerprinted by the
-/// cache. Everything that can change a cell's result must appear here.
+/// cache — and the only per-cell input a [`Tool`](crate::tool::Tool) sees,
+/// so everything that can change a cell's result appears here.
 #[derive(Debug, Clone, Copy)]
 pub struct CellConfig<'a> {
     /// Workload name (unique in the registry).
@@ -68,18 +68,12 @@ pub struct CellConfig<'a> {
     /// Bare tool key (`ToolSpec::key()` / `Tool::name()`), without any
     /// topology suffix.
     pub tool: &'a str,
-    /// Topology preset the cell deploys on (ignored when `custom_topology`
-    /// overrides it).
-    pub topology: TopologySpec,
-    /// Bespoke topology the cell deploys on instead of a preset, if any
-    /// (`--topology-file` / a scenario's `"custom_topology"`). Its full
-    /// canonical rendering replaces the preset key in the fingerprint, so
-    /// cells from different layouts never alias — two custom layouts
-    /// collide only if every field (name, core blocks, latency table)
-    /// agrees.
-    pub custom_topology: Option<&'a CustomTopology>,
+    /// Where the cell's machine is deployed: a topology preset, or a custom
+    /// layout whose full canonical rendering takes the preset key's place,
+    /// so cells from different layouts never alias.
+    pub deploy: &'a Deployment,
     /// Build options before topology adaptation (the tool applies
-    /// `BuildOptions::for_topology` itself, deterministically).
+    /// [`Deployment::adapt`] itself, deterministically).
     pub opts: &'a BuildOptions,
     /// Per-cell budget.
     pub budget: CellBudget,
@@ -87,45 +81,71 @@ pub struct CellConfig<'a> {
     pub pipeline: PipelineConfig,
 }
 
-impl CellConfig<'_> {
+impl<'a> CellConfig<'a> {
+    /// An unbudgeted, inline cell of `tool` on `workload`.
+    pub fn new(
+        workload: &'a str,
+        tool: &'a str,
+        deploy: &'a Deployment,
+        opts: &'a BuildOptions,
+    ) -> Self {
+        CellConfig {
+            workload,
+            tool,
+            deploy,
+            opts,
+            budget: CellBudget::default(),
+            pipeline: PipelineConfig::default(),
+        }
+    }
+
     /// The canonical rendering the fingerprint hashes: one `key=value` line
     /// per config field, in a fixed order. Floats render with `{:?}` so the
     /// exact bit pattern round-trips; every other field has one stable
     /// spelling. This string is also stored in the cache file and compared
     /// on load, so a fingerprint collision can never alias two configs.
+    ///
+    /// Every struct is destructured without `..`: a field added to the cell
+    /// config, the build options, the budget or the pipeline does not
+    /// compile until it is rendered here.
     pub fn canonical(&self) -> String {
-        let steps = match self.budget.max_steps {
+        let CellConfig {
+            workload,
+            tool,
+            deploy,
+            opts,
+            budget,
+            pipeline,
+        } = self;
+        let BuildOptions {
+            threads,
+            scale,
+            fixed,
+            layout_perturbation,
+            placement,
+        } = opts;
+        let CellBudget {
+            max_steps,
+            max_wall,
+        } = budget;
+        let PipelineConfig {
+            enabled,
+            driver_lag_quanta,
+        } = pipeline;
+        let steps = match max_steps {
             Some(n) => n.to_string(),
             None => "none".to_string(),
         };
-        let wall_ms = match self.budget.max_wall {
+        let wall_ms = match max_wall {
             Some(d) => d.as_millis().to_string(),
             None => "none".to_string(),
         };
-        // A custom layout's full canonical rendering takes the preset key's
-        // slot; names cannot shadow preset keys (topofile validation), so
-        // the two families never alias and preset-only fingerprints are
-        // byte-identical to the pre-topology-file scheme.
-        let topology = match self.custom_topology {
-            Some(custom) => custom.canonical(),
-            None => self.topology.key().to_string(),
-        };
         format!(
-            "workload={}\ntool={}\ntopology={}\nthreads={}\nscale={:?}\nfixed={}\n\
-             layout_perturbation={}\nplacement={}\nbudget_steps={}\nbudget_wall_ms={}\n\
-             pipeline={}\npipeline_driver_lag={}\n",
-            self.workload,
-            self.tool,
-            topology,
-            self.opts.threads,
-            self.opts.scale,
-            self.opts.fixed,
-            self.opts.layout_perturbation,
-            self.opts.placement,
-            steps,
-            wall_ms,
-            self.pipeline.enabled,
-            self.pipeline.driver_lag_quanta,
+            "workload={workload}\ntool={tool}\ntopology={}\nthreads={threads}\nscale={scale:?}\n\
+             fixed={fixed}\nlayout_perturbation={layout_perturbation}\nplacement={placement}\n\
+             budget_steps={steps}\nbudget_wall_ms={wall_ms}\npipeline={enabled}\n\
+             pipeline_driver_lag={driver_lag_quanta}\n",
+            deploy.canonical(),
         )
     }
 
@@ -136,14 +156,10 @@ impl CellConfig<'_> {
         self.budget.max_wall.is_none()
     }
 
-    /// The cell key a fresh simulation of this config would be labelled
-    /// with: the preset decoration ([`crate::tool::cell_key`]) or the custom
-    /// layout's `tool@name`.
+    /// The cell key a fresh simulation of this config is labelled with (see
+    /// [`Deployment::cell_key`]).
     pub fn cell_key(&self) -> String {
-        match self.custom_topology {
-            Some(custom) => format!("{}@{}", self.tool, custom.name()),
-            None => crate::tool::cell_key(self.tool, self.topology),
-        }
+        self.deploy.cell_key(self.tool)
     }
 }
 
@@ -289,11 +305,6 @@ impl CellCache {
     pub fn with_salt(mut self, salt: u32) -> Self {
         self.salt = salt;
         self
-    }
-
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn path_of(&self, fp: &str) -> PathBuf {
@@ -611,6 +622,8 @@ fn as_bool(value: &Value) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{Knob, Reach, RunSpec, KNOBS};
+    use crate::topofile::CustomTopology;
     use laser_machine::ThreadPlacement;
     use std::sync::atomic::AtomicU32;
     use std::time::Duration;
@@ -626,15 +639,7 @@ mod tests {
     }
 
     fn config<'a>(opts: &'a BuildOptions) -> CellConfig<'a> {
-        CellConfig {
-            workload: "histogram'",
-            tool: "laser-detect",
-            topology: TopologySpec::Flat,
-            custom_topology: None,
-            opts,
-            budget: CellBudget::default(),
-            pipeline: PipelineConfig::default(),
-        }
+        CellConfig::new("histogram'", "laser-detect", &Deployment::FLAT, opts)
     }
 
     fn sample_run() -> ToolRun {
@@ -691,86 +696,84 @@ mod tests {
         assert_eq!(fp, "ca14afe3f6c63bbfb8a3d82e4ad7914e");
     }
 
+    /// A valid non-default JSON value of every run knob.
+    fn sample(knob: &Knob) -> &'static str {
+        match knob.name {
+            "name" => r#""other""#,
+            "scale" => "0.5",
+            "threads" => "3",
+            "budget_steps" => "1000000",
+            "pipeline" => "true",
+            "driver_lag" => "2",
+            "format" => r#""csv""#,
+            "custom_topology" => {
+                r#"{"name": "fat-thin", "core_blocks": [6, 2],
+                    "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#
+            }
+            "topology" => r#""2s""#,
+            "topologies" => r#"["8s"]"#,
+            "workloads" => r#"["swaptions"]"#,
+            "sav" => "7",
+            "cache" => r#""cells""#,
+            "cache_stats" => r#""stats.json""#,
+            "cells" => r#"[{"workload": "swaptions", "tool": "vtune"}]"#,
+            "sweeps" => r#"[{"kind": "grid", "workloads": ["kmeans"], "tools": ["vtune"]}]"#,
+            other => panic!("knob {other} has no sample: add one so the fingerprint covers it"),
+        }
+    }
+
+    /// The fingerprint of the first cell `spec` lowers onto.
+    fn first_cell(spec: &RunSpec) -> String {
+        let campaign = spec.campaign().unwrap();
+        fingerprint(&campaign.cell_config(0))
+    }
+
     #[test]
     fn every_config_field_perturbs_the_fingerprint() {
-        let opts = base_opts();
-        let base = fingerprint(&config(&opts));
+        // Every knob of the run-spec table that reaches a cell moves the
+        // fingerprint of the cell it lowers onto; host-side and
+        // session-only knobs never do.
+        let base = first_cell(&RunSpec::default());
+        let mut variants: Vec<(&str, String)> = Vec::new();
+        for knob in KNOBS {
+            let mut spec = RunSpec::default();
+            let value = Value::parse(sample(knob)).unwrap();
+            knob.apply_json(&mut spec, &value).unwrap();
+            let fp = first_cell(&spec);
+            if knob.reach != Reach::Cell {
+                assert_eq!(
+                    fp, base,
+                    "knob {} moved the fingerprint without reaching a cell",
+                    knob.name
+                );
+            } else {
+                variants.push((knob.name, fp));
+            }
+        }
 
-        let mut threads = base_opts();
-        threads.threads = 8;
-        let mut scale = base_opts();
-        scale.scale = 0.400_000_000_000_000_1;
-        let mut fixed = base_opts();
-        fixed.fixed = true;
-        let mut layout = base_opts();
-        layout.layout_perturbation = 8;
-        let mut placement = base_opts();
-        placement.placement = ThreadPlacement::RoundRobin;
-
-        let mut variants: Vec<(&str, String)> = vec![
-            (
-                "threads",
-                fingerprint(&CellConfig {
-                    opts: &threads,
-                    ..config(&threads)
-                }),
-            ),
-            (
-                "scale",
-                fingerprint(&CellConfig {
-                    opts: &scale,
-                    ..config(&scale)
-                }),
-            ),
-            (
-                "fixed",
-                fingerprint(&CellConfig {
-                    opts: &fixed,
-                    ..config(&fixed)
-                }),
-            ),
-            (
-                "layout",
-                fingerprint(&CellConfig {
-                    opts: &layout,
-                    ..config(&layout)
-                }),
-            ),
-            (
-                "placement",
-                fingerprint(&CellConfig {
-                    opts: &placement,
-                    ..config(&placement)
-                }),
-            ),
-        ];
+        // Cell-config fields no knob sets.
         let opts = base_opts();
+        let perturbed = |f: fn(&mut BuildOptions)| {
+            let mut opts = base_opts();
+            f(&mut opts);
+            fingerprint(&config(&opts))
+        };
         variants.extend([
+            ("opts.threads", perturbed(|o| o.threads = 8)),
             (
-                "workload",
-                fingerprint(&CellConfig {
-                    workload: "histogram",
-                    ..config(&opts)
-                }),
+                "opts.scale",
+                perturbed(|o| o.scale = 0.400_000_000_000_000_1),
+            ),
+            ("opts.fixed", perturbed(|o| o.fixed = true)),
+            ("opts.layout", perturbed(|o| o.layout_perturbation = 8)),
+            (
+                "opts.placement",
+                perturbed(|o| o.placement = ThreadPlacement::RoundRobin),
             ),
             (
                 "tool",
                 fingerprint(&CellConfig {
                     tool: "laser",
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "topology",
-                fingerprint(&CellConfig {
-                    topology: TopologySpec::OctoSocket,
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "budget_steps",
-                fingerprint(&CellConfig {
-                    budget: CellBudget::steps(1_000_000),
                     ..config(&opts)
                 }),
             ),
@@ -781,36 +784,15 @@ mod tests {
                     ..config(&opts)
                 }),
             ),
-            (
-                "pipeline",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined(),
-                    ..config(&opts)
-                }),
-            ),
-            (
-                "pipeline_driver_lag",
-                fingerprint(&CellConfig {
-                    pipeline: PipelineConfig::pipelined().with_driver_lag(2),
-                    ..config(&opts)
-                }),
-            ),
         ]);
-        let custom = CustomTopology::from_json(
-            r#"{"name": "fat-thin", "core_blocks": [6, 2],
-                "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
-        )
-        .unwrap();
-        variants.push((
-            "custom_topology",
-            fingerprint(&CellConfig {
-                custom_topology: Some(&custom),
-                ..config(&opts)
-            }),
-        ));
+        let base_cell = fingerprint(&config(&opts));
 
         for (field, fp) in &variants {
             assert_ne!(fp, &base, "perturbing {field} must change the fingerprint");
+            assert_ne!(
+                fp, &base_cell,
+                "perturbing {field} must change the fingerprint"
+            );
         }
         // And the perturbations are pairwise distinct from each other too.
         let mut all: Vec<&String> = variants.iter().map(|(_, fp)| fp).collect();
@@ -1019,8 +1001,9 @@ mod tests {
                 "remote": {"remote_hitm": 220, "remote_llc": 100, "remote_dram": 310}}"#,
         )
         .unwrap();
+        let deploy = Deployment::Custom(std::sync::Arc::new(custom));
         let canonical = CellConfig {
-            custom_topology: Some(&custom),
+            deploy: &deploy,
             ..config(&opts)
         }
         .canonical();

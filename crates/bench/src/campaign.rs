@@ -15,7 +15,7 @@
 //! `(workload, tool)` combination costs one grid entry, not the whole run.
 //! A campaign can also bound every cell with a [`CellBudget`]
 //! ([`Campaign::with_cell_budget`]): a [`BudgetObserver`] is threaded through
-//! [`Tool::run_observed`] into each run, and a cell that trips its budget is
+//! [`Tool::run`] into each run, and a cell that trips its budget is
 //! recorded as [`ToolFailure::BudgetExceeded`] — again one grid entry, not
 //! the whole run. Step budgets are deterministic, so budgeted campaigns keep
 //! the byte-identical-across-thread-counts guarantee.
@@ -25,15 +25,16 @@
 //! complete ([`CampaignProgress`]), while the aggregated result stays
 //! deterministic.
 
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use laser_core::{BudgetObserver, CellBudget, PipelineConfig, TopologySpec};
-use laser_workloads::{registry, BuildOptions, WorkloadSpec};
+use laser_core::{BudgetObserver, CellBudget, Observer, PipelineConfig, TopologySpec};
+use laser_workloads::{BuildOptions, WorkloadSpec};
 
 use crate::cache::{CellCache, CellConfig};
-use crate::tool::{default_tools, Tool, ToolFailure, ToolRun};
+use crate::tool::{Tool, ToolFailure, ToolRun, ToolSpec};
 use crate::topofile::{CustomTopology, Deployment};
 
 /// One `workload × tool` cell of a finished campaign.
@@ -136,67 +137,61 @@ pub fn validate_workload_names(
 pub struct Campaign {
     workloads: Vec<WorkloadSpec>,
     tools: Vec<Box<dyn Tool>>,
-    /// The cells to run, as `(workload index, tool index, topology)` triples
-    /// in grid (aggregation) order. A cross-product campaign is
-    /// workload-major on the flat topology; a sparse campaign (built by the
-    /// grid cache) lists exactly the cells the planned experiments need,
+    /// The cells to run, as `(workload index, tool index, deployment)`
+    /// triples in grid (aggregation) order. A cross-product campaign is
+    /// workload-major on the flat topology; a planned campaign
+    /// ([`Campaign::from_plan`]) lists exactly the cells its plan names,
     /// which may mix topologies.
-    cells: Vec<(usize, usize, TopologySpec)>,
+    cells: Vec<(usize, usize, Deployment)>,
     opts: BuildOptions,
     threads: usize,
     budget: CellBudget,
     pipeline: PipelineConfig,
-    /// Bespoke topology overriding every cell's preset, if any (see
-    /// [`Campaign::with_custom_topology`]).
-    custom: Option<Arc<CustomTopology>>,
     cache: Option<Arc<CellCache>>,
-}
-
-impl Default for Campaign {
-    /// The full suite under the default tool panel, one worker per available
-    /// core.
-    fn default() -> Self {
-        Campaign::new(registry(), default_tools())
-    }
 }
 
 impl Campaign {
     /// A campaign over the full `workloads × tools` cross product, on the
     /// flat (single-socket) topology.
     pub fn new(workloads: Vec<WorkloadSpec>, tools: Vec<Box<dyn Tool>>) -> Self {
-        let pairs = (0..workloads.len())
-            .flat_map(|w| (0..tools.len()).map(move |t| (w, t)))
+        let cells = (0..workloads.len())
+            .flat_map(|w| (0..tools.len()).map(move |t| (w, t, Deployment::FLAT)))
             .collect();
-        Campaign::from_cells(workloads, tools, pairs)
+        Campaign::from_cells(workloads, tools, cells)
     }
 
-    /// A campaign over an explicit cell list on the flat topology. `pairs`
-    /// index into `workloads` and `tools` and define the aggregation order.
-    pub fn from_cells(
-        workloads: Vec<WorkloadSpec>,
-        tools: Vec<Box<dyn Tool>>,
-        pairs: Vec<(usize, usize)>,
+    /// A campaign over exactly the planned `(workload, tool, topology)`
+    /// cells, in plan order: each cell runs the tool with the machine
+    /// deployed on that preset (and the build options adapted to it). The
+    /// figure grid and scenario files both lower their cell sets through
+    /// this, so flat cells and cross-socket sweeps share one parallel run.
+    pub fn from_plan(
+        plan: impl IntoIterator<Item = (WorkloadSpec, ToolSpec, TopologySpec)>,
     ) -> Self {
-        let cells = pairs
-            .into_iter()
-            .map(|(w, t)| (w, t, TopologySpec::Flat))
-            .collect();
-        Campaign::from_cells_at(workloads, tools, cells)
+        let mut workloads: Vec<WorkloadSpec> = Vec::new();
+        let mut workload_index: BTreeMap<&'static str, usize> = BTreeMap::new();
+        let mut tools: Vec<Box<dyn Tool>> = Vec::new();
+        let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
+        let mut cells = Vec::new();
+        for (workload, tool, topology) in plan {
+            let w = *workload_index.entry(workload.name).or_insert_with(|| {
+                workloads.push(workload);
+                workloads.len() - 1
+            });
+            let t = *tool_index.entry(tool).or_insert_with(|| {
+                tools.push(tool.build());
+                tools.len() - 1
+            });
+            cells.push((w, t, Deployment::Preset(topology)));
+        }
+        Campaign::from_cells(workloads, tools, cells)
     }
 
-    /// A campaign over an explicit cell list that may mix socket topologies:
-    /// each `(workload, tool, topology)` triple runs the tool with the
-    /// machine deployed on that topology preset (and the build options
-    /// adapted to it). This is how the grid cache runs cross-socket sweeps
-    /// next to flat cells in one parallel campaign.
-    pub fn from_cells_at(
+    fn from_cells(
         workloads: Vec<WorkloadSpec>,
         tools: Vec<Box<dyn Tool>>,
-        cells: Vec<(usize, usize, TopologySpec)>,
+        cells: Vec<(usize, usize, Deployment)>,
     ) -> Self {
-        debug_assert!(cells
-            .iter()
-            .all(|&(w, t, _)| w < workloads.len() && t < tools.len()));
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -208,7 +203,6 @@ impl Campaign {
             threads,
             budget: CellBudget::default(),
             pipeline: PipelineConfig::default(),
-            custom: None,
             cache: None,
         }
     }
@@ -231,7 +225,7 @@ impl Campaign {
     /// collide.
     pub fn with_topology(mut self, topology: TopologySpec) -> Self {
         for cell in &mut self.cells {
-            cell.2 = topology;
+            cell.2 = Deployment::Preset(topology);
         }
         self
     }
@@ -239,10 +233,11 @@ impl Campaign {
     /// Deploy every cell on a bespoke topology instead of its preset
     /// (`--topology-file` / a scenario's `"custom_topology"`). Cell keys
     /// gain an `@layout-name` suffix and the cache fingerprints the full
-    /// layout, so custom cells never alias preset ones. The override is
-    /// campaign-wide: the per-cell preset axis is ignored while it is set.
+    /// layout, so custom cells never alias preset ones.
     pub fn with_custom_topology(mut self, custom: Arc<CustomTopology>) -> Self {
-        self.custom = Some(custom);
+        for cell in &mut self.cells {
+            cell.2 = Deployment::Custom(Arc::clone(&custom));
+        }
         self
     }
 
@@ -269,14 +264,12 @@ impl Campaign {
     }
 
     /// Deploy every cell's session with `pipeline` (see
-    /// [`Tool::set_pipeline`]): LASER cells move their detector stage to a
-    /// worker thread so record processing overlaps the simulated quantum.
-    /// Cell results — and therefore the whole aggregated campaign — are
-    /// byte-identical to an un-pipelined run; only the wall-clock changes.
+    /// [`laser_core::PipelineConfig`]): LASER cells move their
+    /// driver+detector stage to a worker thread so record processing
+    /// overlaps the simulated quantum. At lag 0 cell results — and therefore
+    /// the whole aggregated campaign — are byte-identical to an
+    /// un-pipelined run; only the wall-clock changes.
     pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        for tool in &mut self.tools {
-            tool.set_pipeline(pipeline);
-        }
         self.pipeline = pipeline;
         self
     }
@@ -302,14 +295,22 @@ impl Campaign {
         self.threads
     }
 
-    /// The per-cell budget (unlimited by default).
-    pub fn cell_budget(&self) -> CellBudget {
-        self.budget
-    }
-
-    /// The session pipeline deployment (inline by default).
-    pub fn pipeline(&self) -> PipelineConfig {
-        self.pipeline
+    /// The full configuration of cell `i` in grid order: what its tool runs
+    /// and what the cache fingerprints — the one lowering of the campaign's
+    /// knobs onto a cell.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a cell index (`i >= self.cells()`).
+    pub fn cell_config(&self, i: usize) -> CellConfig<'_> {
+        let (w, t, deploy) = &self.cells[i];
+        CellConfig {
+            workload: self.workloads[*w].name,
+            tool: self.tools[*t].name(),
+            deploy,
+            opts: &self.opts,
+            budget: self.budget,
+            pipeline: self.pipeline,
+        }
     }
 
     /// Run every cell and aggregate in grid order. The aggregation is
@@ -329,7 +330,7 @@ impl Campaign {
         let total = self.cells.len();
         let done = AtomicUsize::new(0);
         let cells = ordered_parallel(total, self.threads, |i| {
-            let (w, t, topo) = self.cells[i];
+            let (w, t, _) = self.cells[i];
             let workload = &self.workloads[w];
             let tool = &self.tools[t];
             progress(CampaignProgress::Started {
@@ -338,19 +339,7 @@ impl Campaign {
                 workload: workload.name,
                 tool: tool.name(),
             });
-            let deploy = match &self.custom {
-                Some(custom) => Deployment::Custom(Arc::clone(custom)),
-                None => Deployment::Preset(topo),
-            };
-            let config = CellConfig {
-                workload: workload.name,
-                tool: tool.name(),
-                topology: topo,
-                custom_topology: self.custom.as_deref(),
-                opts: &self.opts,
-                budget: self.budget,
-                pipeline: self.pipeline,
-            };
+            let config = self.cell_config(i);
             let (cell, cached) = match self.cache.as_ref().and_then(|c| c.load(&config)) {
                 Some(cell) => (cell, true),
                 None => {
@@ -358,12 +347,10 @@ impl Campaign {
                     // the scoped worker would otherwise unwind and poison the
                     // whole grid.
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if self.budget.is_unlimited() {
-                            tool.run_deployed(workload, &self.opts, &deploy)
-                        } else {
-                            let observer = Box::new(BudgetObserver::new(self.budget));
-                            tool.run_observed_deployed(workload, &self.opts, &deploy, observer)
-                        }
+                        let observer = (!self.budget.is_unlimited()).then(|| {
+                            Box::new(BudgetObserver::new(self.budget)) as Box<dyn Observer>
+                        });
+                        tool.run(workload, &config, observer)
                     }))
                     .unwrap_or_else(|payload| {
                         Err(ToolFailure::Panicked {
@@ -372,7 +359,7 @@ impl Campaign {
                     });
                     let cell = CellResult {
                         workload: workload.name.to_string(),
-                        tool: deploy.cell_key(tool.name()),
+                        tool: config.cell_key(),
                         outcome,
                     };
                     if let Some(cache) = &self.cache {
@@ -522,6 +509,7 @@ mod tests {
     use super::*;
     use crate::tool::{LaserTool, NativeTool};
     use laser_core::LaserConfig;
+    use laser_workloads::registry;
     use std::sync::atomic::AtomicUsize;
 
     fn small_campaign(threads: usize) -> Campaign {
@@ -712,17 +700,16 @@ mod tests {
             "panicky"
         }
 
-        fn run_observed_deployed(
+        fn run(
             &self,
             spec: &WorkloadSpec,
-            opts: &BuildOptions,
-            deploy: &Deployment,
-            observer: Box<dyn laser_core::Observer>,
+            cell: &CellConfig,
+            observer: Option<Box<dyn Observer>>,
         ) -> Result<ToolRun, ToolFailure> {
             if spec.name == "swaptions" {
                 panic!("deliberate test panic on {}", spec.name);
             }
-            NativeTool.run_observed_deployed(spec, opts, deploy, observer)
+            NativeTool.run(spec, cell, observer)
         }
     }
 

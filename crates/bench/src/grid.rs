@@ -23,9 +23,12 @@ use laser_core::{CellBudget, PipelineConfig, TopologySpec};
 use laser_workloads::WorkloadSpec;
 
 use crate::cache::CellCache;
-use crate::campaign::{Campaign, CampaignProgress, CampaignResult, CellResult};
+use crate::campaign::{
+    validate_workload_names, Campaign, CampaignProgress, CampaignResult, CellResult,
+    UnknownWorkload,
+};
 use crate::runner::ExperimentScale;
-use crate::tool::{Tool, ToolFailure, ToolRun, ToolSpec};
+use crate::tool::{ToolFailure, ToolRun, ToolSpec};
 
 /// Why an experiment could not be derived from a grid.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +73,7 @@ impl std::error::Error for ExperimentError {}
 #[derive(Debug, Clone)]
 pub struct Grid {
     scale: ExperimentScale,
+    workloads: Vec<WorkloadSpec>,
     threads: usize,
     budget: CellBudget,
     pipeline: PipelineConfig,
@@ -85,6 +89,7 @@ impl Grid {
     pub fn new(scale: ExperimentScale) -> Self {
         Grid {
             scale,
+            workloads: scale.workloads(),
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -101,6 +106,18 @@ impl Grid {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
+    }
+
+    /// Restrict the workloads the figure planners and views iterate to the
+    /// named ones, keeping registry order (default: the whole suite).
+    ///
+    /// # Errors
+    /// Returns [`UnknownWorkload`] for the first name that matches no
+    /// workload; nothing is silently dropped.
+    pub fn with_workload_names(mut self, names: &[&str]) -> Result<Self, UnknownWorkload> {
+        validate_workload_names(names, &self.workloads)?;
+        self.workloads.retain(|w| names.contains(&w.name));
+        Ok(self)
     }
 
     /// Bound every cell with `budget` (see [`Campaign::with_cell_budget`]).
@@ -143,9 +160,9 @@ impl Grid {
         self.scale
     }
 
-    /// The topology [`Grid::request`] plans cells on.
-    pub fn topology(&self) -> TopologySpec {
-        self.topology
+    /// The workloads experiments are planned over, in registry order.
+    pub fn workloads(&self) -> &[WorkloadSpec] {
+        &self.workloads
     }
 
     /// The configured worker-thread count.
@@ -189,24 +206,11 @@ impl Grid {
     where
         F: Fn(CampaignProgress) + Sync,
     {
-        let mut workloads: Vec<WorkloadSpec> = Vec::new();
-        let mut workload_index: BTreeMap<String, usize> = BTreeMap::new();
-        let mut tools: Vec<Box<dyn Tool>> = Vec::new();
-        let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
-        let mut cells = Vec::with_capacity(self.requests.len());
-        for (name, spec, topo) in &self.requests {
-            let w = *workload_index.entry(name.clone()).or_insert_with(|| {
-                workloads.push(self.specs[name].clone());
-                workloads.len() - 1
-            });
-            let t = *tool_index.entry(*spec).or_insert_with(|| {
-                tools.push(spec.build());
-                tools.len() - 1
-            });
-            cells.push((w, t, *topo));
-        }
-
-        let mut campaign = Campaign::from_cells_at(workloads, tools, cells)
+        let plan = self
+            .requests
+            .iter()
+            .map(|(name, tool, topo)| (self.specs[name].clone(), *tool, *topo));
+        let mut campaign = Campaign::from_plan(plan)
             .with_options(self.scale.options())
             .with_threads(self.threads)
             .with_cell_budget(self.budget)
@@ -223,6 +227,7 @@ impl Grid {
             .collect();
         GridResult {
             scale: self.scale,
+            workloads: self.workloads,
             topology: self.topology,
             result,
             index,
@@ -234,6 +239,7 @@ impl Grid {
 #[derive(Debug, Clone)]
 pub struct GridResult {
     scale: ExperimentScale,
+    workloads: Vec<WorkloadSpec>,
     topology: TopologySpec,
     result: CampaignResult,
     index: BTreeMap<(String, String), usize>,
@@ -245,11 +251,9 @@ impl GridResult {
         self.scale
     }
 
-    /// The topology default-planned cells ran on. Figure views look their
-    /// cells up here, so a `--topology 2s` grid derives every figure from
-    /// the 2-socket cells without the views knowing anything changed.
-    pub fn topology(&self) -> TopologySpec {
-        self.topology
+    /// The workloads the grid's experiments were planned over.
+    pub fn workloads(&self) -> &[WorkloadSpec] {
+        &self.workloads
     }
 
     /// The underlying campaign result, in grid order.
@@ -380,7 +384,6 @@ mod tests {
     fn tiny_scale() -> ExperimentScale {
         ExperimentScale {
             workload_scale: 0.06,
-            only: Some(&["histogram'", "swaptions"]),
         }
     }
 
@@ -419,10 +422,7 @@ mod tests {
 
     #[test]
     fn sheriff_incompatibility_is_data_not_error() {
-        let mut grid = Grid::new(ExperimentScale {
-            workload_scale: 0.06,
-            only: Some(&["dedup"]),
-        });
+        let mut grid = Grid::new(tiny_scale());
         grid.request(&spec("dedup"), ToolSpec::SheriffDetect);
         let result = grid.run();
         // dedup is Sheriff-incompatible: sheriff_run surfaces it as data...
@@ -437,6 +437,21 @@ mod tests {
             result.tool_run("dedup", ToolSpec::SheriffDetect),
             Err(ExperimentError::Cell { .. })
         ));
+    }
+
+    #[test]
+    fn workload_names_restrict_the_planned_suite() {
+        let grid = Grid::new(tiny_scale())
+            .with_workload_names(&["swaptions", "histogram'"])
+            .unwrap();
+        let names: Vec<&str> = grid.workloads().iter().map(|w| w.name).collect();
+        assert_eq!(names, ["histogram'", "swaptions"], "registry order");
+        assert_eq!(
+            Grid::new(tiny_scale())
+                .with_workload_names(&["histogramm"])
+                .err(),
+            Some(UnknownWorkload("histogramm".to_string()))
+        );
     }
 
     #[test]

@@ -3,17 +3,14 @@
 //! Each figure is split into a *planner* (`plan_fig10`, …) that registers the
 //! `(workload, tool)` cells it needs on a [`Grid`], and a *view*
 //! (`fig10_from_grid`, …) that derives the figure's rows from the cached
-//! [`GridResult`] without simulating anything. The `fig10_overhead`-style
-//! entry points plan and run a single-figure grid for callers (tests,
-//! Criterion benches) that want one figure in isolation; the `experiments`
-//! binary plans every selected figure into **one** grid so shared cells run
-//! once.
+//! [`GridResult`] without simulating anything. The `experiments` binary
+//! plans every selected figure into **one** grid so shared cells run once.
 
 use laser_baselines::SheriffFailure;
 use laser_workloads::SheriffCompat;
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::{geomean, ExperimentScale};
+use crate::runner::geomean;
 use crate::tool::ToolSpec;
 
 /// One bar pair of Figure 10.
@@ -67,7 +64,7 @@ impl Fig10Report {
 
 /// Plan the cells Figure 10 needs.
 pub fn plan_fig10(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         grid.request(&spec, ToolSpec::Native);
         grid.request(&spec, ToolSpec::Laser);
         grid.request(&spec, ToolSpec::Vtune);
@@ -80,7 +77,7 @@ pub fn plan_fig10(grid: &mut Grid) {
 /// Propagates missing or failed cells.
 pub fn fig10_from_grid(grid: &GridResult) -> Result<Fig10Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         rows.push(Fig10Row {
             name: spec.name,
             laser: grid.normalized(spec.name, ToolSpec::Laser)?,
@@ -88,16 +85,6 @@ pub fn fig10_from_grid(grid: &GridResult) -> Result<Fig10Report, ExperimentError
         });
     }
     Ok(Fig10Report { rows })
-}
-
-/// Run the Figure 10 overhead comparison on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig10_overhead(scale: &ExperimentScale) -> Result<Fig10Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig10(&mut grid);
-    fig10_from_grid(&grid.run())
 }
 
 /// One bar of Figure 11.
@@ -156,7 +143,7 @@ pub const FIG11_WORKLOADS: &[&str] = &[
 
 /// Plan the cells Figure 11 needs.
 pub fn plan_fig11(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         if !FIG11_WORKLOADS.contains(&spec.name) {
             continue;
         }
@@ -174,7 +161,7 @@ pub fn plan_fig11(grid: &mut Grid) {
 /// Propagates missing or failed cells.
 pub fn fig11_from_grid(grid: &GridResult) -> Result<Fig11Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         if !FIG11_WORKLOADS.contains(&spec.name) {
             continue;
         }
@@ -196,16 +183,6 @@ pub fn fig11_from_grid(grid: &GridResult) -> Result<Fig11Report, ExperimentError
         });
     }
     Ok(Fig11Report { rows })
-}
-
-/// Run the Figure 11 speedup experiment on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig11_speedups(scale: &ExperimentScale) -> Result<Fig11Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig11(&mut grid);
-    fig11_from_grid(&grid.run())
 }
 
 /// One bar of Figure 12.
@@ -255,7 +232,7 @@ impl Fig12Report {
 
 /// Plan the cells Figure 12 needs.
 pub fn plan_fig12(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         grid.request(&spec, ToolSpec::Native);
         grid.request(&spec, ToolSpec::LaserDetect);
     }
@@ -271,7 +248,7 @@ pub fn fig12_from_grid(
     min_overhead: f64,
 ) -> Result<Fig12Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         let slowdown = grid.normalized(spec.name, ToolSpec::LaserDetect)?;
         if slowdown < 1.0 + min_overhead {
             continue;
@@ -286,19 +263,6 @@ pub fn fig12_from_grid(
         });
     }
     Ok(Fig12Report { rows })
-}
-
-/// Run the Figure 12 overhead-breakdown experiment on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig12_breakdown(
-    scale: &ExperimentScale,
-    min_overhead: f64,
-) -> Result<Fig12Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig12(&mut grid);
-    fig12_from_grid(&grid.run(), min_overhead)
 }
 
 /// One point of Figure 13.
@@ -366,19 +330,6 @@ pub fn fig13_from_grid(grid: &GridResult, savs: &[u32]) -> Result<Fig13Report, E
     Ok(Fig13Report { points })
 }
 
-/// Run the Figure 13 SAV sweep on dedup on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig13_sav_sweep(
-    scale: &ExperimentScale,
-    savs: &[u32],
-) -> Result<Fig13Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig13(&mut grid, savs);
-    fig13_from_grid(&grid.run(), savs)
-}
-
 /// One group of bars of Figure 14.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig14Row {
@@ -435,7 +386,7 @@ impl Fig14Report {
 
 /// Plan the cells Figure 14 needs.
 pub fn plan_fig14(grid: &mut Grid) {
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads().to_vec() {
         if spec.sheriff != SheriffCompat::Works {
             continue;
         }
@@ -455,7 +406,7 @@ pub fn plan_fig14(grid: &mut Grid) {
 /// Propagates missing or failed cells.
 pub fn fig14_from_grid(grid: &GridResult) -> Result<Fig14Report, ExperimentError> {
     let mut rows = Vec::new();
-    for spec in grid.scale().workloads() {
+    for spec in grid.workloads() {
         if spec.sheriff != SheriffCompat::Works {
             continue;
         }
@@ -485,30 +436,26 @@ pub fn fig14_from_grid(grid: &GridResult) -> Result<Fig14Report, ExperimentError
     Ok(Fig14Report { rows })
 }
 
-/// Run the Figure 14 comparison on a single-figure grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn fig14_sheriff(scale: &ExperimentScale) -> Result<Fig14Report, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_fig14(&mut grid);
-    fig14_from_grid(&grid.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::ExperimentScale;
 
-    fn tiny(names: &'static [&'static str]) -> ExperimentScale {
-        ExperimentScale {
+    /// Plan with `plan` on a grid over `names` at scale 0.06, and run it.
+    fn tiny(names: &[&str], plan: impl FnOnce(&mut Grid)) -> GridResult {
+        let mut grid = Grid::new(ExperimentScale {
             workload_scale: 0.06,
-            only: Some(names),
-        }
+        })
+        .with_workload_names(names)
+        .unwrap();
+        plan(&mut grid);
+        grid.run()
     }
 
     #[test]
     fn fig10_laser_is_cheaper_than_vtune() {
-        let report = fig10_overhead(&tiny(&["swaptions", "histogram'", "kmeans"])).unwrap();
+        let grid = tiny(&["swaptions", "histogram'", "kmeans"], plan_fig10);
+        let report = fig10_from_grid(&grid).unwrap();
         assert_eq!(report.rows.len(), 3);
         let (laser, vtune) = report.geomeans();
         assert!(laser < vtune, "{}", report.render());
@@ -517,8 +464,11 @@ mod tests {
 
     #[test]
     fn fig11_reports_automatic_and_manual_speedups() {
-        let report =
-            fig11_speedups(&tiny(&["linear_regression", "histogram'", "reverse_index"])).unwrap();
+        let grid = tiny(
+            &["linear_regression", "histogram'", "reverse_index"],
+            plan_fig11,
+        );
+        let report = fig11_from_grid(&grid).unwrap();
         assert_eq!(report.rows.len(), 3);
         let lreg = report
             .rows
@@ -531,7 +481,8 @@ mod tests {
 
     #[test]
     fn fig13_sav_one_is_slower_than_nineteen() {
-        let report = fig13_sav_sweep(&tiny(&["dedup"]), &[1, 19]).unwrap();
+        let grid = tiny(&["dedup"], |grid| plan_fig13(grid, &[1, 19]));
+        let report = fig13_from_grid(&grid, &[1, 19]).unwrap();
         assert_eq!(report.points.len(), 2);
         assert!(
             report.points[0].normalized_runtime > report.points[1].normalized_runtime,
@@ -542,7 +493,8 @@ mod tests {
 
     #[test]
     fn fig14_covers_only_sheriff_compatible_workloads() {
-        let report = fig14_sheriff(&tiny(&["swaptions", "dedup", "water_nsquared"])).unwrap();
+        let grid = tiny(&["swaptions", "dedup", "water_nsquared"], plan_fig14);
+        let report = fig14_from_grid(&grid).unwrap();
         // dedup is incompatible with Sheriff and therefore not a Fig 14 row.
         assert!(report.rows.iter().all(|r| r.name != "dedup"));
         assert!(!report.rows.is_empty());
@@ -551,7 +503,8 @@ mod tests {
 
     #[test]
     fn fig12_selects_high_overhead_workloads_only() {
-        let report = fig12_breakdown(&tiny(&["swaptions", "kmeans"]), 0.0).unwrap();
+        let grid = tiny(&["swaptions", "kmeans"], plan_fig12);
+        let report = fig12_from_grid(&grid, 0.0).unwrap();
         // With a zero cutoff every selected workload appears.
         assert!(report.rows.len() <= 2);
         for r in &report.rows {
@@ -564,19 +517,22 @@ mod tests {
     fn shared_grid_serves_multiple_figures_from_one_run() {
         // fig10 and fig12 overlap on every native cell; a shared grid plans
         // the union and both figures derive from the same cached cells.
-        let scale = tiny(&["swaptions", "histogram'"]);
-        let mut grid = Grid::new(scale);
-        plan_fig10(&mut grid);
-        plan_fig12(&mut grid);
+        let names = ["swaptions", "histogram'"];
+        let mut cells = 0;
+        let result = tiny(&names, |grid| {
+            plan_fig10(grid);
+            plan_fig12(grid);
+            cells = grid.cells();
+        });
         // native, laser, vtune, laser-detect per workload = 8 unique cells,
         // not the 10 a serial re-run of both figures would have cost.
-        assert_eq!(grid.cells(), 8);
-        let result = grid.run();
+        assert_eq!(cells, 8);
         let fig10 = fig10_from_grid(&result).unwrap();
         let fig12 = fig12_from_grid(&result, 0.0).unwrap();
         assert_eq!(fig10.rows.len(), 2);
         assert!(fig12.rows.len() <= 2);
-        // The standalone path derives the same figure.
-        assert_eq!(fig10.rows, fig10_overhead(&scale).unwrap().rows);
+        // A single-figure grid derives the same figure.
+        let alone = fig10_from_grid(&tiny(&names, plan_fig10)).unwrap();
+        assert_eq!(fig10.rows, alone.rows);
     }
 }

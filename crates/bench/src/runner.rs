@@ -5,7 +5,7 @@ use laser_core::{
     ContentionReport, Laser, LaserConfig, LaserError, LaserOutcome, Observer, PipelineConfig,
     TopologySpec,
 };
-use laser_machine::{RunResult, WorkloadImage};
+use laser_machine::{Machine, RunResult, WorkloadImage};
 use laser_workloads::{registry, BuildOptions, WorkloadSpec};
 
 use crate::topofile::Deployment;
@@ -15,37 +15,17 @@ use crate::topofile::Deployment;
 pub struct ExperimentScale {
     /// Input-scale multiplier applied to every workload.
     pub workload_scale: f64,
-    /// Optional restriction to a subset of workload names (used by the
-    /// Criterion benches to stay fast); `None` means the full suite.
-    pub only: Option<&'static [&'static str]>,
 }
 
 impl Default for ExperimentScale {
     fn default() -> Self {
         ExperimentScale {
             workload_scale: 0.4,
-            only: None,
         }
     }
 }
 
 impl ExperimentScale {
-    /// The scale used by the Criterion benches: tiny inputs, a handful of
-    /// representative workloads.
-    pub fn bench() -> Self {
-        ExperimentScale {
-            workload_scale: 0.08,
-            only: Some(&[
-                "histogram'",
-                "linear_regression",
-                "kmeans",
-                "dedup",
-                "swaptions",
-                "streamcluster",
-            ]),
-        }
-    }
-
     /// Build options for a workload at this scale.
     pub fn options(&self) -> BuildOptions {
         BuildOptions {
@@ -54,16 +34,9 @@ impl ExperimentScale {
         }
     }
 
-    /// The workloads selected by this scale, in registry order.
+    /// Every workload of the suite, in registry order.
     pub fn workloads(&self) -> Vec<WorkloadSpec> {
         registry()
-            .into_iter()
-            .filter(|s| {
-                self.only
-                    .map(|names| names.contains(&s.name))
-                    .unwrap_or(true)
-            })
-            .collect()
     }
 }
 
@@ -89,190 +62,57 @@ pub fn build_under_tool(spec: &WorkloadSpec, opts: &BuildOptions) -> WorkloadIma
     }
 }
 
-/// Run a workload natively (no tool attached).
+/// Run a workload natively (no tool attached) on `deploy`: the build
+/// options are adapted to it ([`Deployment::adapt`]) and the machine is
+/// deployed on its topology and core count.
 ///
 /// # Errors
 /// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native(spec: &WorkloadSpec, opts: &BuildOptions) -> Result<RunResult, LaserError> {
-    Laser::run_native(&spec.build(opts))
-}
-
-/// Run a workload natively on a topology preset: the build options are
-/// adapted to it ([`BuildOptions::for_topology`]: threads scale with the
-/// socket count, multi-socket placement goes round-robin) and the machine is
-/// deployed on the preset's topology and core count. The flat preset is
-/// byte-identical to [`run_native`].
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    topo: TopologySpec,
-) -> Result<RunResult, LaserError> {
-    run_native_deployed(spec, opts, &Deployment::Preset(topo))
-}
-
-/// Run a workload natively on an arbitrary [`Deployment`]: a preset behaves
-/// exactly like [`run_native_at`]; a custom layout adapts the build options
-/// ([`crate::topofile::CustomTopology::adapt`]) and deploys the machine on
-/// the loaded topology and core count.
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_native_deployed(
+pub fn run_native(
     spec: &WorkloadSpec,
     opts: &BuildOptions,
     deploy: &Deployment,
 ) -> Result<RunResult, LaserError> {
-    let opts = deploy.adapt(opts);
-    Laser::run_native_on(&spec.build(&opts), deploy.machine_config())
+    let image = spec.build(&deploy.adapt(opts));
+    Ok(Machine::new(deploy.machine_config(), &image).run_to_completion()?)
 }
 
-/// Run a workload under LASER with the given configuration.
+/// Run a workload under LASER with `config` on `deploy`, with the session
+/// `pipeline` and, if given, `observer` attached to its event stream (see
+/// [`laser_core::observe`]). Without an observer the session is genuinely
+/// unobserved: no events are built and a pipelined worker never owes a
+/// reply.
+///
+/// A preset rides on `LaserConfig::topology` (the flat default never
+/// clobbers a topology the caller put in `config`); a custom layout hands
+/// the session an explicit machine configuration, which the builder honours
+/// over any config preset.
 ///
 /// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
+/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
+/// cancelled the run.
 pub fn run_laser(
     spec: &WorkloadSpec,
     opts: &BuildOptions,
     config: LaserConfig,
-) -> Result<LaserOutcome, LaserError> {
-    Laser::new(config).run(&build_under_tool(spec, opts))
-}
-
-/// Run a workload under LASER with `observer` attached to the session's
-/// event stream (see [`laser_core::observe`]) and the given pipeline
-/// deployment. This is how the campaign runner threads per-cell budgets —
-/// and the `--pipeline` execution mode — into a run. Pipelining changes
-/// only the wall-clock: the outcome and event stream are byte-identical to
-/// an inline run.
-///
-/// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_observed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    observer: Box<dyn Observer>,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_observed_at(spec, opts, config, pipeline, TopologySpec::Flat, observer)
-}
-
-/// Like [`run_laser_observed`], deployed on a topology preset: the build
-/// options are adapted to it and the session's machine is configured with
-/// the preset's topology and core count (via `LaserConfig::topology`). The
-/// flat preset is byte-identical to [`run_laser_observed`].
-///
-/// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_observed_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    topo: TopologySpec,
-    observer: Box<dyn Observer>,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_observed_deployed(
-        spec,
-        opts,
-        config,
-        pipeline,
-        &Deployment::Preset(topo),
-        observer,
-    )
-}
-
-/// Like [`run_laser_observed_at`], on an arbitrary [`Deployment`]. A preset
-/// takes the exact pre-deployment code path (the session builder deploys the
-/// machine from `LaserConfig::topology`, byte-identical); a custom layout
-/// hands the session an explicit machine configuration built from the loaded
-/// topology, which the builder honours over any config preset.
-///
-/// # Errors
-/// Propagates simulator errors, and [`LaserError::Stopped`] when `observer`
-/// cancelled the run.
-pub fn run_laser_observed_deployed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
     pipeline: PipelineConfig,
     deploy: &Deployment,
-    observer: Box<dyn Observer>,
+    observer: Option<Box<dyn Observer>>,
 ) -> Result<LaserOutcome, LaserError> {
-    let opts = deploy.adapt(opts);
-    laser_builder_deployed(config, deploy)
-        .pipeline_config(pipeline)
-        .boxed_observer(observer)
-        .build(&build_under_tool(spec, &opts))
-        .run()
-}
-
-/// Start a session builder for `deploy`: presets ride on
-/// `LaserConfig::topology` (the flat default never clobbers a topology the
-/// caller put in their own config); custom layouts pass an explicit machine
-/// configuration, which wins over any config preset.
-fn laser_builder_deployed(config: LaserConfig, deploy: &Deployment) -> laser_core::SessionBuilder {
-    match deploy {
+    let builder = match deploy {
         Deployment::Preset(TopologySpec::Flat) => Laser::builder().config(config),
         Deployment::Preset(topo) => Laser::builder().config(config.with_topology(*topo)),
         Deployment::Custom(_) => Laser::builder()
             .config(config)
             .machine(deploy.machine_config()),
-    }
-}
-
-/// Run a workload under LASER with the detector stage pipelined onto a
-/// worker thread (see [`laser_core::PipelineConfig`]), unobserved. Used by
-/// the `bench_throughput` harness to compare inline and pipelined
-/// steps-per-second on identical sessions.
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_piped_at(spec, opts, config, pipeline, TopologySpec::Flat)
-}
-
-/// Like [`run_laser_piped`], deployed on a topology preset (see
-/// [`run_laser_observed_at`] for how the preset is applied).
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped_at(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    topo: TopologySpec,
-) -> Result<LaserOutcome, LaserError> {
-    run_laser_piped_deployed(spec, opts, config, pipeline, &Deployment::Preset(topo))
-}
-
-/// Like [`run_laser_piped_at`], on an arbitrary [`Deployment`] (see
-/// [`run_laser_observed_deployed`] for how each arm deploys the machine).
-///
-/// # Errors
-/// Propagates simulator errors (step-budget exhaustion).
-pub fn run_laser_piped_deployed(
-    spec: &WorkloadSpec,
-    opts: &BuildOptions,
-    config: LaserConfig,
-    pipeline: PipelineConfig,
-    deploy: &Deployment,
-) -> Result<LaserOutcome, LaserError> {
-    let opts = deploy.adapt(opts);
-    laser_builder_deployed(config, deploy)
+    };
+    let builder = match observer {
+        Some(observer) => builder.boxed_observer(observer),
+        None => builder,
+    };
+    builder
         .pipeline_config(pipeline)
-        .build(&build_under_tool(spec, &opts))
+        .build(&build_under_tool(spec, &deploy.adapt(opts)))
         .run()
 }
 
@@ -358,19 +198,20 @@ mod tests {
     }
 
     #[test]
-    fn bench_scale_selects_a_subset() {
-        let s = ExperimentScale::bench();
-        let w = s.workloads();
-        assert!(w.len() < 10 && !w.is_empty());
-        assert!(w.iter().any(|s| s.name == "histogram'"));
-    }
-
-    #[test]
     fn laser_and_native_runners_work_end_to_end() {
         let spec = find("swaptions").unwrap();
         let opts = BuildOptions::scaled(0.05);
-        let native = run_native(&spec, &opts).unwrap();
-        let laser = run_laser(&spec, &opts, LaserConfig::detection_only()).unwrap();
+        let flat = Deployment::FLAT;
+        let native = run_native(&spec, &opts, &flat).unwrap();
+        let laser = run_laser(
+            &spec,
+            &opts,
+            LaserConfig::detection_only(),
+            PipelineConfig::default(),
+            &flat,
+            None,
+        )
+        .unwrap();
         assert!(native.cycles > 0);
         assert!(laser.run.cycles >= native.cycles);
     }

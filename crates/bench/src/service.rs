@@ -1,9 +1,10 @@
-//! The campaign service: run a [`Scenario`] and stream its cells as JSON
-//! lines.
+//! The campaign service: run a scenario ([`RunSpec`]) and stream its cells
+//! as JSON lines.
 //!
-//! [`run_scenario`] is the engine under the `laser-serve` binary. It resolves
-//! a validated scenario's cell plan onto the parallel
-//! [`Campaign`] runner and writes one JSON object
+//! [`run_scenario`] is the engine under `experiments scenario`. It lowers a
+//! validated scenario onto the parallel
+//! [`Campaign`](crate::campaign::Campaign) runner
+//! ([`RunSpec::campaign`]) and writes one JSON object
 //! per line to the caller's writer *as cells land* — a client watching the
 //! stream sees results the moment a worker finishes them, not when the whole
 //! campaign does. Line order therefore depends on scheduling; everything
@@ -20,21 +21,16 @@
 //! while the campaign drains and surfaced as a [`ServiceError`], which the
 //! binaries turn into a clean nonzero exit.
 
-use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use laser_core::{CellBudget, TopologySpec};
-use laser_workloads::{find, WorkloadSpec};
 use serde::json::Value;
 
 use crate::cache::{CacheStats, CellCache};
-use crate::campaign::{Campaign, CampaignProgress};
+use crate::campaign::CampaignProgress;
 use crate::emit::Emit;
-use crate::runner::ExperimentScale;
-use crate::scenario::{AggregateFormat, Scenario};
-use crate::tool::{Tool, ToolSpec};
+use crate::spec::{AggregateFormat, RunSpec};
 
 /// The service could not run a scenario to completion: the result stream or
 /// the cell cache stopped accepting writes. The binaries print the message
@@ -110,11 +106,19 @@ impl ServiceSummary {
 /// campaign still drains (a half-written stream never wedges workers), and
 /// the first failure wins.
 pub fn run_scenario<W: Write + Send>(
-    scenario: &Scenario,
+    scenario: &RunSpec,
     options: &ServiceOptions,
     out: W,
 ) -> Result<ServiceSummary, ServiceError> {
-    let campaign = plan_campaign(scenario, options)?;
+    let mut campaign = scenario
+        .campaign()
+        .map_err(|e| ServiceError(e.to_string()))?;
+    if let (None, Some(threads)) = (scenario.threads, options.threads) {
+        campaign = campaign.with_threads(threads);
+    }
+    if let Some(cache) = &options.cache {
+        campaign = campaign.with_cache(Arc::clone(cache));
+    }
 
     let writer = Mutex::new(out);
     let write_error: Mutex<Option<String>> = Mutex::new(None);
@@ -203,61 +207,6 @@ pub fn run_scenario<W: Write + Send>(
     Ok(summary)
 }
 
-/// Resolve a scenario's plan into a configured [`Campaign`], mirroring how
-/// [`Grid`](crate::grid::Grid) lowers its request set.
-fn plan_campaign(scenario: &Scenario, options: &ServiceOptions) -> Result<Campaign, ServiceError> {
-    let plan = scenario.plan();
-    let mut workloads: Vec<WorkloadSpec> = Vec::new();
-    let mut workload_index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut tools: Vec<Box<dyn Tool>> = Vec::new();
-    let mut tool_index: BTreeMap<ToolSpec, usize> = BTreeMap::new();
-    let mut cells: Vec<(usize, usize, TopologySpec)> = Vec::with_capacity(plan.len());
-    for (name, spec, topo) in &plan {
-        let w = match workload_index.get(name) {
-            Some(&w) => w,
-            None => {
-                // Scenario validation already vetted every name; a miss here
-                // means the registry changed under us mid-run.
-                let workload =
-                    find(name).ok_or_else(|| ServiceError(format!("unknown workload '{name}'")))?;
-                workloads.push(workload);
-                workload_index.insert(name.clone(), workloads.len() - 1);
-                workloads.len() - 1
-            }
-        };
-        let t = *tool_index.entry(*spec).or_insert_with(|| {
-            tools.push(spec.build());
-            tools.len() - 1
-        });
-        cells.push((w, t, *topo));
-    }
-
-    let mut campaign = Campaign::from_cells_at(workloads, tools, cells).with_options(
-        ExperimentScale {
-            workload_scale: scenario.scale,
-            only: None,
-        }
-        .options(),
-    );
-    if let Some(threads) = scenario.threads.or(options.threads) {
-        campaign = campaign.with_threads(threads);
-    }
-    if let Some(steps) = scenario.budget_steps {
-        campaign = campaign.with_cell_budget(CellBudget::steps(steps));
-    }
-    let pipeline = scenario.pipeline_config();
-    if pipeline.enabled {
-        campaign = campaign.with_pipeline(pipeline);
-    }
-    if let Some(custom) = &scenario.custom_topology {
-        campaign = campaign.with_custom_topology(Arc::new(custom.clone()));
-    }
-    if let Some(cache) = &options.cache {
-        campaign = campaign.with_cache(Arc::clone(cache));
-    }
-    Ok(campaign)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,8 +222,8 @@ mod tests {
         ))
     }
 
-    fn tiny_scenario(extra: &str) -> Scenario {
-        Scenario::parse(&format!(
+    fn tiny_scenario(extra: &str) -> RunSpec {
+        RunSpec::parse(&format!(
             r#"{{
               "name": "tiny",
               "scale": 0.06,
@@ -381,7 +330,7 @@ mod tests {
     fn scenario_knobs_reach_the_campaign() {
         // A starvation budget marks every cell over budget — proof the
         // scenario's budget_steps reached the campaign.
-        let scenario = Scenario::parse(
+        let scenario = RunSpec::parse(
             r#"{
               "name": "starved",
               "scale": 0.06,
@@ -420,7 +369,7 @@ mod tests {
         // Same starvation trick as above: a 10-step budget keeps the run
         // instant, while the streamed tool key proves the bespoke layout —
         // not a preset — deployed the cell.
-        let scenario = Scenario::parse(
+        let scenario = RunSpec::parse(
             r#"{
               "name": "bespoke",
               "scale": 0.06,

@@ -19,15 +19,12 @@ use std::ops::ControlFlow;
 
 use laser_baselines::{Sheriff, SheriffConfig, SheriffFailure, SheriffMode, Vtune, VtuneConfig};
 use laser_core::{
-    ContentionKind, LaserConfig, LaserError, LaserEvent, NullObserver, Observer, PipelineConfig,
-    StopReason, TopologySpec,
+    ContentionKind, LaserConfig, LaserError, LaserEvent, Observer, StopReason, TopologySpec,
 };
 use laser_workloads::{BuildOptions, WorkloadSpec};
 
-use crate::runner::{
-    build_under_tool, run_laser_observed_deployed, run_laser_piped_deployed, run_native_deployed,
-};
-use crate::topofile::Deployment;
+use crate::cache::CellConfig;
+use crate::runner::{build_under_tool, run_laser, run_native};
 
 /// One contention site a tool reported, in a tool-neutral shape.
 ///
@@ -103,7 +100,7 @@ pub enum ToolFailure {
         message: String,
     },
     /// The cell exceeded its per-cell budget: the observer threaded through
-    /// [`Tool::run_observed`] stopped the run. LASER runs are cancelled
+    /// [`Tool::run`] stopped the run. LASER runs are cancelled
     /// mid-flight; tools that report only a final event are marked after
     /// completion.
     BudgetExceeded {
@@ -128,146 +125,61 @@ impl std::fmt::Display for ToolFailure {
     }
 }
 
-/// The cell key of a tool deployed on a topology: the bare tool name on the
-/// flat (default) topology, `name@2s` / `name@4s` on the multi-socket
-/// presets. Keeping flat keys bare preserves the pre-topology cell naming
-/// byte-for-byte.
-pub fn cell_key(tool_name: &str, topo: TopologySpec) -> String {
-    if topo == TopologySpec::Flat {
-        tool_name.to_string()
-    } else {
-        format!("{tool_name}@{topo}")
-    }
-}
-
 /// A contention tool (or the absence of one) that can run a workload.
 ///
-/// The primary entry point is [`Tool::run_observed_deployed`], which takes
-/// the [`Deployment`] the cell runs on — a socket-topology preset, or a
-/// custom layout loaded from a topology file; the `_at` methods are preset
-/// conveniences and the topology-less methods run on the flat
-/// (single-socket) preset. A tool is responsible for adapting the build
-/// options to the deployment ([`Deployment::adapt`]: threads scale with the
-/// socket count, multi-socket placement goes round-robin) and for deploying
-/// its machine on it — so a caller never has to keep options and machine
-/// configuration in sync by hand.
+/// [`Tool::run`] is the one entry point. Its [`CellConfig`] is exactly what
+/// the cell cache fingerprints and the only per-cell input a tool sees —
+/// build options, the deployment (a socket-topology preset or a custom
+/// layout) and the session pipeline — so no knob can reach a run without
+/// also reaching its cache key. A tool adapts the build options to the
+/// deployment itself
+/// ([`Deployment::adapt`](crate::topofile::Deployment::adapt): threads scale with the socket
+/// count, multi-socket placement goes round-robin) and deploys its machine
+/// on it, so a caller never keeps options and machine configuration in sync
+/// by hand.
 pub trait Tool: Send + Sync {
     /// Stable display name, used (suffixed with the deployment via
-    /// [`cell_key`] / [`Deployment::cell_key`]) as the cell key in campaign
-    /// results.
+    /// [`CellConfig::cell_key`]) as the cell key in campaign results.
     fn name(&self) -> &str;
 
-    /// Build and run `spec` at `opts` on `deploy` under this tool,
-    /// streaming the run to `observer`. An observer that breaks cancels the
-    /// run (where the tool supports it) and the cell fails with
-    /// [`ToolFailure::BudgetExceeded`].
+    /// Build and run `spec` as `cell` describes under this tool. With an
+    /// `observer`, the run streams to it, and an observer that breaks
+    /// cancels the run (where the tool supports it) and the cell fails with
+    /// [`ToolFailure::BudgetExceeded`]. Without one the run is genuinely
+    /// unobserved: a LASER session constructs no events and its pipelined
+    /// worker never owes a reply.
     ///
     /// LASER runs stream their full [`LaserEvent`] sequence and stop
-    /// mid-quantum;
-    /// the native and baseline tools report a single
+    /// mid-quantum; the native and baseline tools report a single
     /// [`LaserEvent::Finished`] after the simulation, so a budget can mark
     /// them over-budget but not shorten them. (The Sheriff model exposes no
     /// step counter; its `Finished` events carry `steps: 0`, so only
-    /// wall-clock budgets can catch Sheriff cells.)
+    /// wall-clock budgets can catch Sheriff cells.) Pipelining applies only
+    /// to [`LaserTool`], the one tool with a detector stage to move.
     ///
     /// # Errors
     /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
     /// workload, [`ToolFailure::Error`] when the simulation fails and
     /// [`ToolFailure::BudgetExceeded`] when `observer` stopped the run.
-    fn run_observed_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure>;
-
-    /// Build and run `spec` at `opts` on the preset `topo`, streaming the
-    /// run to `observer`.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_observed_deployed`].
-    fn run_observed_at(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        topo: TopologySpec,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_deployed(spec, opts, &Deployment::Preset(topo), observer)
-    }
-
-    /// Build and run `spec` at `opts` on `deploy`, unobserved.
-    ///
-    /// # Errors
-    /// Returns [`ToolFailure::Unsupported`] when the tool cannot run the
-    /// workload and [`ToolFailure::Error`] when the simulation fails.
-    fn run_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_deployed(spec, opts, deploy, Box::new(NullObserver))
-    }
-
-    /// Build and run `spec` at `opts` on the preset `topo`, unobserved.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_deployed`].
-    fn run_at(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        topo: TopologySpec,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_deployed(spec, opts, &Deployment::Preset(topo))
-    }
-
-    /// Build and run `spec` at `opts` under this tool on the flat topology,
-    /// streaming the run to `observer`.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_observed_at`].
-    fn run_observed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        self.run_observed_at(spec, opts, TopologySpec::Flat, observer)
-    }
-
-    /// Build and run `spec` at `opts` on the flat topology, unobserved.
-    ///
-    /// # Errors
-    /// As for [`Tool::run_at`].
-    fn run(&self, spec: &WorkloadSpec, opts: &BuildOptions) -> Result<ToolRun, ToolFailure> {
-        self.run_at(spec, opts, TopologySpec::Flat)
-    }
-
-    /// Deploy this tool's runs with the given session pipeline (see
-    /// [`laser_core::PipelineConfig`]): the detector stage moves to a worker
-    /// thread so record processing overlaps application execution.
-    ///
-    /// Pipelining is an *execution strategy*, not a measurement change — a
-    /// pipelined cell is byte-identical to its inline equivalent — so tools
-    /// it does not apply to (native, the baselines) ignore it; only
-    /// [`LaserTool`] runs a session with a detector stage to move.
-    fn set_pipeline(&mut self, _pipeline: PipelineConfig) {}
 }
 
 /// Deliver the post-run [`LaserEvent::Finished`] event for a tool that cannot
 /// stream intermediate events, translating an observer break into the
 /// budget-exceeded cell failure.
 fn finish_observed(
-    mut observer: Box<dyn Observer>,
+    observer: Option<Box<dyn Observer>>,
     steps: u64,
     cycles: u64,
 ) -> Result<(), ToolFailure> {
-    match observer.on_event(&LaserEvent::Finished { steps, cycles }) {
-        ControlFlow::Continue(()) => Ok(()),
-        ControlFlow::Break(reason) => Err(ToolFailure::BudgetExceeded { reason }),
+    match observer.map(|mut o| o.on_event(&LaserEvent::Finished { steps, cycles })) {
+        Some(ControlFlow::Break(reason)) => Err(ToolFailure::BudgetExceeded { reason }),
+        _ => Ok(()),
     }
 }
 
@@ -281,14 +193,13 @@ impl Tool for NativeTool {
         "native"
     }
 
-    fn run_observed_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure> {
-        let result = run_native_deployed(spec, opts, deploy)
+        let result = run_native(spec, cell.opts, cell.deploy)
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
         finish_observed(observer, result.steps, result.cycles)?;
         Ok(ToolRun {
@@ -311,19 +222,18 @@ impl Tool for FixedNativeTool {
         "native-fixed"
     }
 
-    fn run_observed_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure> {
         let opts = BuildOptions {
             fixed: true,
-            ..opts.clone()
+            ..cell.opts.clone()
         };
-        let result = run_native_deployed(spec, &opts, deploy)
-            .map_err(|e| ToolFailure::Error(e.to_string()))?;
+        let result =
+            run_native(spec, &opts, cell.deploy).map_err(|e| ToolFailure::Error(e.to_string()))?;
         finish_observed(observer, result.steps, result.cycles)?;
         Ok(ToolRun {
             cycles: result.cycles,
@@ -339,7 +249,6 @@ impl Tool for FixedNativeTool {
 pub struct LaserTool {
     config: LaserConfig,
     name: String,
-    pipeline: PipelineConfig,
 }
 
 impl Default for LaserTool {
@@ -368,15 +277,7 @@ impl LaserTool {
         LaserTool {
             config,
             name: name.into(),
-            pipeline: PipelineConfig::default(),
         }
-    }
-
-    /// Deploy this tool's sessions with `pipeline` (builder-style); see
-    /// [`Tool::set_pipeline`].
-    pub fn with_pipeline(mut self, pipeline: PipelineConfig) -> Self {
-        self.pipeline = pipeline;
-        self
     }
 }
 
@@ -385,40 +286,18 @@ impl Tool for LaserTool {
         &self.name
     }
 
-    fn set_pipeline(&mut self, pipeline: PipelineConfig) {
-        self.pipeline = pipeline;
-    }
-
-    /// Unobserved runs skip the boxed [`NullObserver`] of the default
-    /// implementation so the session stays genuinely *unobserved*: no events
-    /// are constructed, and a pipelined session's worker never owes a reply
-    /// (the machine stage streams without per-batch round-trips). This is
-    /// the path ordinary (unbudgeted) campaign and figure cells take.
-    fn run_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure> {
-        let outcome =
-            run_laser_piped_deployed(spec, opts, self.config.clone(), self.pipeline, deploy)
-                .map_err(|e| ToolFailure::Error(e.to_string()))?;
-        Ok(laser_outcome_to_tool_run(outcome))
-    }
-
-    fn run_observed_deployed(
-        &self,
-        spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
-    ) -> Result<ToolRun, ToolFailure> {
-        let outcome = run_laser_observed_deployed(
+        let outcome = run_laser(
             spec,
-            opts,
+            cell.opts,
             self.config.clone(),
-            self.pipeline,
-            deploy,
+            cell.pipeline,
+            cell.deploy,
             observer,
         )
         .map_err(|e| match e {
@@ -472,17 +351,16 @@ impl Tool for VtuneTool {
         "vtune"
     }
 
-    fn run_observed_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure> {
-        let opts = deploy.adapt(opts);
+        let opts = cell.deploy.adapt(cell.opts);
         let image = build_under_tool(spec, &opts);
         let outcome = Vtune::new(self.config.clone())
-            .run_on(&image, deploy.machine_config())
+            .run_on(&image, cell.deploy.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
         finish_observed(observer, outcome.run.steps, outcome.run.cycles)?;
         Ok(ToolRun {
@@ -521,11 +399,6 @@ impl SheriffTool {
             mode,
         }
     }
-
-    /// Sheriff with an explicit cost model.
-    pub fn with_config(config: SheriffConfig, mode: SheriffMode) -> Self {
-        SheriffTool { config, mode }
-    }
 }
 
 impl Tool for SheriffTool {
@@ -536,16 +409,15 @@ impl Tool for SheriffTool {
         }
     }
 
-    fn run_observed_deployed(
+    fn run(
         &self,
         spec: &WorkloadSpec,
-        opts: &BuildOptions,
-        deploy: &Deployment,
-        observer: Box<dyn Observer>,
+        cell: &CellConfig,
+        observer: Option<Box<dyn Observer>>,
     ) -> Result<ToolRun, ToolFailure> {
-        let opts = deploy.adapt(opts);
+        let opts = cell.deploy.adapt(cell.opts);
         let outcome = Sheriff::new(self.config)
-            .run_on(spec, &opts, self.mode, deploy.machine_config())
+            .run_on(spec, &opts, self.mode, cell.deploy.machine_config())
             .map_err(|e| ToolFailure::Error(e.to_string()))?;
         match outcome.result {
             Ok(run) => {
@@ -600,9 +472,10 @@ pub enum ToolSpec {
 }
 
 impl ToolSpec {
-    /// The cell key of this tool on topology `topo` (see [`cell_key`]).
+    /// The cell key of this tool on topology `topo` (see
+    /// [`Deployment::cell_key`](crate::topofile::Deployment::cell_key)).
     pub fn key_at(&self, topo: TopologySpec) -> String {
-        cell_key(&self.key(), topo)
+        crate::topofile::Deployment::Preset(topo).cell_key(&self.key())
     }
 
     /// The stable cell key: identical to the built tool's `name()`.
@@ -620,10 +493,20 @@ impl ToolSpec {
         }
     }
 
+    /// The default tool panel: native, LASER, VTune and both Sheriff modes
+    /// — every column of the paper's comparison tables.
+    pub const PANEL: [ToolSpec; 5] = [
+        ToolSpec::Native,
+        ToolSpec::Laser,
+        ToolSpec::Vtune,
+        ToolSpec::SheriffDetect,
+        ToolSpec::SheriffProtect,
+    ];
+
     /// Parse a stable cell key back into its spec — the exact inverse of
     /// [`ToolSpec::key`], including the parameterized
-    /// `laser-detect-sav{N}` family. Scenario files name tools with these
-    /// keys.
+    /// `laser-detect-sav{N}` family (whose SAV must pass [`valid_sav`]).
+    /// Scenario files name tools with these keys.
     pub fn parse(key: &str) -> Option<ToolSpec> {
         match key {
             "native" => Some(ToolSpec::Native),
@@ -638,7 +521,7 @@ impl ToolSpec {
                 let sav = key.strip_prefix("laser-detect-sav")?;
                 // Reject non-canonical spellings ("sav007") so parse(key())
                 // round-trips exactly and nothing else is accepted.
-                let value: u32 = sav.parse().ok()?;
+                let value = valid_sav(sav.parse().ok()?)?;
                 if value.to_string() != sav {
                     return None;
                 }
@@ -669,25 +552,42 @@ impl ToolSpec {
     }
 }
 
-/// The default tool panel: native, LASER, VTune and both Sheriff modes —
-/// every column of the paper's comparison tables.
-pub fn default_tools() -> Vec<Box<dyn Tool>> {
-    vec![
-        Box::new(NativeTool),
-        Box::new(LaserTool::default()),
-        Box::new(VtuneTool::default()),
-        Box::new(SheriffTool::new(SheriffMode::Detect)),
-        Box::new(SheriffTool::new(SheriffMode::Protect)),
-    ]
+/// A PEBS Sample-After-Value as a tool key or the `--sav` knob may name
+/// it: the PMU takes one sample every `sav` events, so 0 is meaningless and
+/// anything past `u32` unrepresentable. `None` rejects the value.
+pub fn valid_sav(sav: u64) -> Option<u32> {
+    u32::try_from(sav).ok().filter(|&sav| sav >= 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topofile::Deployment;
+    use laser_core::PipelineConfig;
     use laser_workloads::find;
 
     fn opts() -> BuildOptions {
         BuildOptions::scaled(0.08)
+    }
+
+    /// Run `tool` on `workload` in a flat cell at `pipeline`.
+    fn run_cell(
+        tool: &dyn Tool,
+        workload: &str,
+        pipeline: PipelineConfig,
+        observer: Option<Box<dyn Observer>>,
+    ) -> Result<ToolRun, ToolFailure> {
+        let spec = find(workload).unwrap();
+        let opts = opts();
+        let cell = CellConfig {
+            pipeline,
+            ..CellConfig::new(workload, tool.name(), &Deployment::FLAT, &opts)
+        };
+        tool.run(&spec, &cell, observer)
+    }
+
+    fn run(tool: &dyn Tool, workload: &str) -> Result<ToolRun, ToolFailure> {
+        run_cell(tool, workload, PipelineConfig::default(), None)
     }
 
     #[test]
@@ -698,7 +598,7 @@ mod tests {
             ToolSpec::Laser,
             ToolSpec::LaserDetect,
             ToolSpec::LaserDetectRaw,
-            ToolSpec::LaserDetectSav(0),
+            ToolSpec::LaserDetectSav(1),
             ToolSpec::LaserDetectSav(97),
             ToolSpec::LaserDetectSav(20011),
             ToolSpec::Vtune,
@@ -712,8 +612,11 @@ mod tests {
             "natve",
             "NATIVE",
             "laser-detect-sav",
+            // SAV 0 would sample nothing: the PMU rejects it.
+            &ToolSpec::LaserDetectSav(0).key(),
             "laser-detect-sav007",
             "laser-detect-sav-3",
+            "laser-detect-sav4294967296",
             "laser-detect-savx",
             "",
             "native@2s",
@@ -735,8 +638,7 @@ mod tests {
 
     #[test]
     fn native_runs_and_reports_nothing() {
-        let spec = find("swaptions").unwrap();
-        let run = NativeTool.run(&spec, &opts()).unwrap();
+        let run = run(&NativeTool, "swaptions").unwrap();
         assert!(run.cycles > 0);
         assert!(run.reported.is_empty());
         assert!(!run.repair_invoked);
@@ -745,10 +647,9 @@ mod tests {
 
     #[test]
     fn fixed_native_beats_buggy_native_where_a_fix_exists() {
-        let spec = find("linear_regression").unwrap();
-        assert!(spec.has_fix);
-        let buggy = NativeTool.run(&spec, &opts()).unwrap();
-        let fixed = FixedNativeTool.run(&spec, &opts()).unwrap();
+        assert!(find("linear_regression").unwrap().has_fix);
+        let buggy = run(&NativeTool, "linear_regression").unwrap();
+        let fixed = run(&FixedNativeTool, "linear_regression").unwrap();
         assert!(
             fixed.cycles < buggy.cycles,
             "{} vs {}",
@@ -759,11 +660,8 @@ mod tests {
 
     #[test]
     fn laser_tool_reports_contention_with_overhead() {
-        let spec = find("histogram'").unwrap();
-        let native = NativeTool.run(&spec, &opts()).unwrap();
-        let laser = LaserTool::new(LaserConfig::detection_only())
-            .run(&spec, &opts())
-            .unwrap();
+        let native = run(&NativeTool, "histogram'").unwrap();
+        let laser = run(&LaserTool::new(LaserConfig::detection_only()), "histogram'").unwrap();
         assert!(laser.cycles >= native.cycles);
         assert!(!laser.reported.is_empty(), "histogram' contends");
         let first = &laser.reported[0];
@@ -776,8 +674,7 @@ mod tests {
 
     #[test]
     fn sheriff_tool_surfaces_incompatibility() {
-        let spec = find("dedup").unwrap();
-        let out = SheriffTool::new(SheriffMode::Detect).run(&spec, &opts());
+        let out = run(&SheriffTool::new(SheriffMode::Detect), "dedup");
         assert_eq!(
             out,
             Err(ToolFailure::Unsupported(SheriffFailure::Incompatible))
@@ -786,7 +683,7 @@ mod tests {
 
     #[test]
     fn tool_names_are_distinct() {
-        let tools = default_tools();
+        let tools: Vec<Box<dyn Tool>> = ToolSpec::PANEL.iter().map(ToolSpec::build).collect();
         let mut names: Vec<&str> = tools.iter().map(|t| t.name()).collect();
         names.sort_unstable();
         names.dedup();
@@ -836,11 +733,11 @@ mod tests {
     #[test]
     fn laser_tool_is_cancelled_mid_flight_by_a_step_budget() {
         use laser_core::{BudgetObserver, CellBudget};
-        let spec = find("histogram'").unwrap();
-        let out = LaserTool::new(LaserConfig::detection_only()).run_observed(
-            &spec,
-            &opts(),
-            Box::new(BudgetObserver::new(CellBudget::steps(5_000))),
+        let out = run_cell(
+            &LaserTool::new(LaserConfig::detection_only()),
+            "histogram'",
+            PipelineConfig::default(),
+            Some(Box::new(BudgetObserver::new(CellBudget::steps(5_000)))),
         );
         match out {
             Err(ToolFailure::BudgetExceeded {
@@ -852,54 +749,39 @@ mod tests {
 
     #[test]
     fn pipelined_laser_cell_is_byte_identical_to_inline() {
-        let spec = find("histogram'").unwrap();
-        let inline = LaserTool::new(LaserConfig::detection_only())
-            .run(&spec, &opts())
-            .unwrap();
-        let piped = LaserTool::new(LaserConfig::detection_only())
-            .with_pipeline(PipelineConfig::pipelined())
-            .run(&spec, &opts())
-            .unwrap();
+        let tool = LaserTool::new(LaserConfig::detection_only());
+        let inline = run(&tool, "histogram'").unwrap();
+        let piped = run_cell(&tool, "histogram'", PipelineConfig::pipelined(), None).unwrap();
         assert_eq!(inline, piped);
 
-        // The trait-object path the campaign runner uses agrees too.
-        let mut boxed: Box<dyn Tool> = Box::new(LaserTool::new(LaserConfig::detection_only()));
-        boxed.set_pipeline(PipelineConfig::pipelined());
-        assert_eq!(boxed.run(&spec, &opts()).unwrap(), inline);
-
         // Tools without a detector stage accept (and ignore) the deployment.
-        let mut native: Box<dyn Tool> = Box::new(NativeTool);
-        native.set_pipeline(PipelineConfig::pipelined());
-        let native_run = native.run(&spec, &opts()).unwrap();
-        assert_eq!(native_run, NativeTool.run(&spec, &opts()).unwrap());
+        let native = run_cell(&NativeTool, "histogram'", PipelineConfig::pipelined(), None);
+        assert_eq!(native, run(&NativeTool, "histogram'"));
     }
 
     #[test]
     fn native_tool_is_marked_over_budget_after_completion() {
         use laser_core::{BudgetObserver, CellBudget};
-        let spec = find("swaptions").unwrap();
+        let observed = |budget| {
+            run_cell(
+                &NativeTool,
+                "swaptions",
+                PipelineConfig::default(),
+                Some(Box::new(BudgetObserver::new(budget))),
+            )
+        };
         // Native runs cannot be shortened: the run completes and is then held
         // to the budget via its Finished event.
-        let out = NativeTool.run_observed(
-            &spec,
-            &opts(),
-            Box::new(BudgetObserver::new(CellBudget::steps(1))),
-        );
         assert!(matches!(
-            out,
+            observed(CellBudget::steps(1)),
             Err(ToolFailure::BudgetExceeded {
                 reason: StopReason::StepBudget { limit: 1, .. }
             })
         ));
         // A generous budget changes nothing about the run.
-        let unbudgeted = NativeTool.run(&spec, &opts()).unwrap();
-        let budgeted = NativeTool
-            .run_observed(
-                &spec,
-                &opts(),
-                Box::new(BudgetObserver::new(CellBudget::steps(u64::MAX))),
-            )
-            .unwrap();
-        assert_eq!(unbudgeted, budgeted);
+        assert_eq!(
+            run(&NativeTool, "swaptions"),
+            observed(CellBudget::steps(u64::MAX))
+        );
     }
 }

@@ -44,8 +44,8 @@ pub const MAX_CUSTOM_CORES: usize = 128;
 /// A parsed, validated bespoke topology: an asymmetric socket layout plus
 /// the machine core count it implies (the sum of its core blocks).
 ///
-/// The only constructors are [`CustomTopology::from_json`] /
-/// [`CustomTopology::from_value`] / [`CustomTopology::load`], so every value
+/// The only constructors are [`CustomTopology::from_json`] and
+/// [`CustomTopology::from_value`], so every value
 /// of this type has already passed [`Topology::validate`] against the
 /// default latency model — holders never need to re-check.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,16 +55,6 @@ pub struct CustomTopology {
 }
 
 impl CustomTopology {
-    /// Load and validate a topology file.
-    ///
-    /// # Errors
-    /// The unreadable-file or invalid-spec message, prefixed with the path.
-    pub fn load(path: &str) -> Result<CustomTopology, String> {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("failed to read {path}: {e}"))?;
-        CustomTopology::from_json(&text).map_err(|e| format!("{path}: {e}"))
-    }
-
     /// Parse and validate a topology document.
     ///
     /// # Errors
@@ -277,13 +267,8 @@ pub enum Deployment {
 }
 
 impl Deployment {
-    /// The preset this deployment names, if it is one.
-    pub fn preset(&self) -> Option<TopologySpec> {
-        match self {
-            Deployment::Preset(topo) => Some(*topo),
-            Deployment::Custom(_) => None,
-        }
-    }
+    /// The flat (single-socket) preset, every cell's default deployment.
+    pub const FLAT: Deployment = Deployment::Preset(TopologySpec::Flat);
 
     /// Adapt build options to the deployment (see
     /// [`BuildOptions::for_topology`] and [`CustomTopology::adapt`]).
@@ -307,7 +292,8 @@ impl Deployment {
     /// the multi-socket presets, `name@layout` on a custom layout.
     pub fn cell_key(&self, tool_name: &str) -> String {
         match self {
-            Deployment::Preset(topo) => crate::tool::cell_key(tool_name, *topo),
+            Deployment::Preset(TopologySpec::Flat) => tool_name.to_string(),
+            Deployment::Preset(topo) => format!("{tool_name}@{topo}"),
             Deployment::Custom(custom) => format!("{tool_name}@{}", custom.name()),
         }
     }
@@ -460,15 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn load_surfaces_missing_files_with_the_path() {
-        let message = CustomTopology::load("/nonexistent/topo.json").unwrap_err();
-        assert!(message.contains("/nonexistent/topo.json"), "{message}");
-    }
-
-    #[test]
     fn deployment_preset_arm_matches_the_preset_helpers() {
         let deploy = Deployment::Preset(TopologySpec::DualSocket);
-        assert_eq!(deploy.preset(), Some(TopologySpec::DualSocket));
         assert_eq!(deploy.cell_key("laser"), "laser@2s");
         assert_eq!(deploy.canonical(), "2s");
         assert_eq!(
@@ -490,7 +469,6 @@ mod tests {
     fn deployment_custom_arm_uses_the_layout() {
         let custom = Arc::new(CustomTopology::from_json(FAT_THIN).unwrap());
         let deploy = Deployment::Custom(Arc::clone(&custom));
-        assert_eq!(deploy.preset(), None);
         assert_eq!(deploy.cell_key("laser"), "laser@fat-thin");
         assert_eq!(deploy.canonical(), custom.canonical());
         assert_eq!(deploy.machine_config().num_cores, 8);

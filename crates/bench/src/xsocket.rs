@@ -23,7 +23,6 @@
 use laser_core::TopologySpec;
 
 use crate::grid::{ExperimentError, Grid, GridResult};
-use crate::runner::ExperimentScale;
 use crate::tool::ToolSpec;
 
 /// The false-sharing workloads the sweep runs: the paper's headline
@@ -117,7 +116,7 @@ impl XsocketReport {
 /// LASER.
 pub fn plan_xsocket(grid: &mut Grid) {
     for topo in TopologySpec::ALL {
-        for spec in grid.scale().workloads() {
+        for spec in grid.workloads().to_vec() {
             if !XSOCKET_WORKLOADS.contains(&spec.name) {
                 continue;
             }
@@ -135,7 +134,7 @@ pub fn plan_xsocket(grid: &mut Grid) {
 pub fn xsocket_from_grid(grid: &GridResult) -> Result<XsocketReport, ExperimentError> {
     let mut rows = Vec::new();
     for topo in TopologySpec::ALL {
-        for spec in grid.scale().workloads() {
+        for spec in grid.workloads() {
             if !XSOCKET_WORKLOADS.contains(&spec.name) {
                 continue;
             }
@@ -159,32 +158,26 @@ pub fn xsocket_from_grid(grid: &GridResult) -> Result<XsocketReport, ExperimentE
     Ok(XsocketReport { rows })
 }
 
-/// Run the sweep on a single-purpose grid.
-///
-/// # Errors
-/// Propagates simulator errors.
-pub fn xsocket_sweep(scale: &ExperimentScale) -> Result<XsocketReport, ExperimentError> {
-    let mut grid = Grid::new(*scale);
-    plan_xsocket(&mut grid);
-    xsocket_from_grid(&grid.run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scale() -> ExperimentScale {
-        // Full scale (the xsocket default): the repair trigger needs a
-        // full-length contended phase to fire early enough to matter.
-        ExperimentScale {
-            workload_scale: 1.0,
-            only: Some(&["histogram'"]),
-        }
+    use crate::runner::ExperimentScale;
+
+    /// Run the sweep over `names` at `workload_scale`.
+    fn sweep(workload_scale: f64, names: &[&str]) -> XsocketReport {
+        let mut grid = Grid::new(ExperimentScale { workload_scale })
+            .with_workload_names(names)
+            .unwrap();
+        plan_xsocket(&mut grid);
+        xsocket_from_grid(&grid.run()).unwrap()
     }
 
     #[test]
     fn sweep_shows_remote_hitms_and_repair_reducing_them() {
-        let report = xsocket_sweep(&scale()).unwrap();
+        // Full scale (the xsocket default): the repair trigger needs a
+        // full-length contended phase to fire early enough to matter.
+        let report = sweep(1.0, &["histogram'"]);
         // One workload on every preset topology.
         assert_eq!(report.rows.len(), TopologySpec::ALL.len());
         let flat = &report.topology_rows(TopologySpec::Flat)[0];
@@ -232,11 +225,7 @@ mod tests {
 
     #[test]
     fn sweep_respects_the_scale_selection() {
-        let report = xsocket_sweep(&ExperimentScale {
-            workload_scale: 0.1,
-            only: Some(&["swaptions"]), // not a sweep workload
-        })
-        .unwrap();
+        let report = sweep(0.1, &["swaptions"]); // not a sweep workload
         assert!(report.rows.is_empty());
     }
 }

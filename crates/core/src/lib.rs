@@ -74,8 +74,8 @@
 //! }
 //! ```
 //!
-//! The legacy entry points ([`Laser::run`], [`Laser::session_on`],
-//! [`LaserSession::new`], …) remain as thin wrappers over the builder.
+//! [`Laser::run`] and [`LaserSession::new`] remain as thin wrappers over the
+//! builder.
 
 #![forbid(unsafe_code)]
 

@@ -22,7 +22,7 @@ use crate::config::LaserConfig;
 use crate::observe::StopReason;
 use crate::repair::{RepairPlan, SsbStats};
 use crate::report::ContentionReport;
-use crate::session::{LaserSession, SessionBuilder, StageOccupancy};
+use crate::session::{SessionBuilder, StageOccupancy};
 
 /// What LASERREPAIR did during a run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -118,8 +118,8 @@ impl Laser {
     /// Start building a session: the canonical construction path. The
     /// builder unifies the LASER and machine configurations and optionally
     /// attaches an [`Observer`](crate::observe::Observer) to stream the run's
-    /// [`LaserEvent`](crate::observe::LaserEvent)s; every other constructor
-    /// on this type is a thin wrapper over it.
+    /// [`LaserEvent`](crate::observe::LaserEvent)s; [`Laser::run`] is a thin
+    /// wrapper over it.
     pub fn builder() -> SessionBuilder {
         SessionBuilder::new()
     }
@@ -135,59 +135,20 @@ impl Laser {
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
     pub fn run_native(image: &WorkloadImage) -> Result<RunResult, LaserError> {
-        Self::run_native_on(image, MachineConfig::default())
-    }
-
-    /// Like [`Laser::run_native`] but with an explicit machine configuration.
-    ///
-    /// # Errors
-    /// Returns an error if the workload exceeds the machine's step budget.
-    pub fn run_native_on(
-        image: &WorkloadImage,
-        machine_config: MachineConfig,
-    ) -> Result<RunResult, LaserError> {
-        let mut machine = Machine::new(machine_config, image);
-        Ok(machine.run_to_completion()?)
+        Ok(Machine::new(MachineConfig::default(), image).run_to_completion()?)
     }
 
     /// Run `image` under LASER with the default machine configuration.
+    /// Callers that deploy another machine, pipeline the stage, or watch or
+    /// cancel the run use [`Laser::builder`].
     ///
     /// # Errors
     /// Returns an error if the workload exceeds the machine's step budget.
     pub fn run(&self, image: &WorkloadImage) -> Result<LaserOutcome, LaserError> {
-        self.run_on(image, MachineConfig::default())
-    }
-
-    /// Run `image` under LASER on a machine with `machine_config`.
-    ///
-    /// The whole run lives in a [`LaserSession`] — an owned, `Send`-able
-    /// value — so callers that want to fan runs out across threads can use
-    /// [`Laser::session_on`] and move the session to a worker instead.
-    /// Callers that want to watch or cancel the run use [`Laser::builder`].
-    ///
-    /// # Errors
-    /// Returns an error if the workload exceeds the machine's step budget.
-    pub fn run_on(
-        &self,
-        image: &WorkloadImage,
-        machine_config: MachineConfig,
-    ) -> Result<LaserOutcome, LaserError> {
-        self.session_on(image, machine_config).run()
-    }
-
-    /// Set up (but do not run) a session for `image` with the default machine
-    /// configuration. Thin wrapper over [`Laser::builder`].
-    pub fn session(&self, image: &WorkloadImage) -> LaserSession {
-        self.session_on(image, MachineConfig::default())
-    }
-
-    /// Set up (but do not run) a session for `image` on a machine with
-    /// `machine_config`. Thin wrapper over [`Laser::builder`].
-    pub fn session_on(&self, image: &WorkloadImage, machine_config: MachineConfig) -> LaserSession {
         Laser::builder()
             .config(self.config.clone())
-            .machine(machine_config)
             .build(image)
+            .run()
     }
 }
 

@@ -108,7 +108,7 @@ impl BuildOptions {
     }
 
     /// Options at a reduced input scale (Sheriff's `simlarge`-style inputs,
-    /// also used by the Criterion benches to stay fast).
+    /// also used by the tests to stay fast).
     pub fn scaled(scale: f64) -> Self {
         BuildOptions {
             scale,

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use laser_bench::{
-    run_scenario, Campaign, CellBudget, CellCache, Emit, LaserTool, NativeTool, Scenario,
+    run_scenario, Campaign, CellBudget, CellCache, Emit, LaserTool, NativeTool, RunSpec,
     ServiceOptions, Tool, TopologySpec, CACHE_SALT,
 };
 use laser_core::LaserConfig;
@@ -123,7 +123,7 @@ fn salt_bump_invalidates_but_never_changes_output() {
 #[test]
 fn scenario_service_reruns_from_the_cache_with_identical_aggregate() {
     let dir = scratch_dir("service");
-    let scenario = Scenario::parse(
+    let scenario = RunSpec::parse(
         r#"{
           "name": "it",
           "scale": 0.08,

@@ -18,19 +18,19 @@ use serde::json::Value;
 const SAVS: &[u32] = &[1, 19];
 const THRESHOLDS: &[f64] = &[32.0, 1024.0, 65536.0];
 
-fn scale() -> ExperimentScale {
-    ExperimentScale {
+/// A grid over the four-workload subset at scale 0.08.
+fn grid() -> Grid {
+    Grid::new(ExperimentScale {
         workload_scale: 0.08,
-        only: Some(&["histogram'", "swaptions", "linear_regression", "dedup"]),
-    }
+    })
+    .with_workload_names(&["histogram'", "swaptions", "linear_regression", "dedup"])
+    .unwrap()
 }
 
 /// Plan every figure and table into one grid and run it at `threads`,
 /// inline or with every LASER cell's detector stage pipelined.
 fn full_grid_with(threads: usize, pipeline: PipelineConfig) -> GridResult {
-    let mut grid = Grid::new(scale())
-        .with_threads(threads)
-        .with_pipeline(pipeline);
+    let mut grid = grid().with_threads(threads).with_pipeline(pipeline);
     plan_fig9(&mut grid);
     plan_fig10(&mut grid);
     plan_fig11(&mut grid);
@@ -133,7 +133,7 @@ fn pipelined_budgeted_grids_emit_byte_identically_to_inline() {
     // Budgets and pipelining compose: the budget observer rides an identical
     // event stream, so budget-exceeded cells land identically too.
     let budgeted = |threads, pipeline| {
-        let mut grid = Grid::new(scale())
+        let mut grid = grid()
             .with_threads(threads)
             .with_cell_budget(CellBudget::steps(10_000))
             .with_pipeline(pipeline);
@@ -161,8 +161,9 @@ fn topology_grids_emit_byte_identically_across_threads_and_pipelining() {
     let build = |threads, pipeline| {
         let mut grid = Grid::new(ExperimentScale {
             workload_scale: 0.08,
-            only: Some(&["histogram'", "swaptions"]),
         })
+        .with_workload_names(&["histogram'", "swaptions"])
+        .unwrap()
         .with_threads(threads)
         .with_pipeline(pipeline)
         .with_topology(TopologySpec::DualSocket);
@@ -213,7 +214,7 @@ fn budgeted_grids_emit_byte_identically_for_any_thread_count() {
     // trip the budget still aggregates — and emits, in every format —
     // byte-identically whatever the thread count.
     let budgeted = |threads| {
-        let mut grid = Grid::new(scale())
+        let mut grid = grid()
             .with_threads(threads)
             .with_cell_budget(CellBudget::steps(10_000));
         plan_fig10(&mut grid);

@@ -10,8 +10,10 @@
 //! misrouted class, an off-by-one in a latency table — fails loudly rather
 //! than silently skewing every figure.
 
-use laser_bench::{LaserTool, NativeTool, Tool, ToolSpec, TopologySpec};
-use laser_core::LaserConfig;
+use laser_bench::{
+    runner, CellConfig, Deployment, LaserTool, NativeTool, Tool, ToolSpec, TopologySpec,
+};
+use laser_core::{Laser, LaserConfig};
 use laser_machine::{LatencyModel, ResolvedClass, Topology};
 use laser_workloads::{find, BuildOptions};
 
@@ -30,7 +32,9 @@ const PINNED_NATIVE: &[(&str, u64)] = &[
 fn default_topology_native_cycles_match_the_pre_refactor_flat_model() {
     for &(name, cycles) in PINNED_NATIVE {
         let spec = find(name).expect("known workload");
-        let run = NativeTool.run(&spec, &opts()).unwrap();
+        let opts = opts();
+        let cell = CellConfig::new(name, "native", &Deployment::FLAT, &opts);
+        let run = NativeTool.run(&spec, &cell, None).unwrap();
         assert_eq!(
             run.cycles, cycles,
             "{name}: default-topology charges drifted from the flat model"
@@ -47,8 +51,10 @@ fn default_topology_laser_cycles_match_the_pre_refactor_flat_model() {
     // The LASER path exercises driver + detector charging on top of the
     // machine's access costs; its end-to-end count pins both.
     let spec = find("histogram'").expect("known workload");
+    let opts = opts();
+    let cell = CellConfig::new(spec.name, "laser-detect", &Deployment::FLAT, &opts);
     let run = LaserTool::new(LaserConfig::detection_only())
-        .run(&spec, &opts())
+        .run(&spec, &cell, None)
         .unwrap();
     assert_eq!(run.cycles, 21_826, "laser-detect charges drifted");
 }
@@ -68,11 +74,27 @@ fn explicit_flat_topology_equals_the_default_cell_for_cell() {
     // Running a cell "at" the flat preset must be the same computation as
     // running it with no topology at all — key, options and outcome.
     let spec = find("histogram'").expect("known workload");
-    let default_run = NativeTool.run(&spec, &opts()).unwrap();
-    let flat_run = NativeTool
-        .run_at(&spec, &opts(), TopologySpec::Flat)
-        .unwrap();
-    assert_eq!(default_run, flat_run);
+    let opts = opts();
+    let default_run = Laser::run_native(&spec.build(&opts)).unwrap();
+    let flat_result = runner::run_native(&spec, &opts, &Deployment::FLAT).unwrap();
+    // `RunResult` has no `PartialEq`; its `Debug` rendering covers every
+    // field (steps, cycles, per-core cycles, stats).
+    assert_eq!(format!("{default_run:?}"), format!("{flat_result:?}"));
+    let run_on = |deploy: &Deployment| {
+        NativeTool
+            .run(
+                &spec,
+                &CellConfig::new(spec.name, "native", deploy, &opts),
+                None,
+            )
+            .unwrap()
+    };
+    let default_cell = run_on(&Deployment::FLAT);
+    let flat_cell = run_on(&Deployment::Preset(TopologySpec::Flat));
+    assert_eq!(default_cell, flat_cell);
+    assert_eq!(default_cell.cycles, default_run.cycles);
+    assert_eq!(default_cell.hitm_events, default_run.stats.hitm_events);
+    assert_eq!(default_cell.hitm_remote, default_run.stats.hitm_remote);
     assert_eq!(ToolSpec::Native.key_at(TopologySpec::Flat), "native");
     assert_eq!(
         ToolSpec::Native.key_at(TopologySpec::DualSocket),
