@@ -16,7 +16,17 @@
 //! itself, so the accuracy (Table 1/2) and overhead (Figures 10 and 14)
 //! comparisons are apples-to-apples.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod sheriff;
 pub mod vtune;

@@ -189,6 +189,10 @@ impl Cli {
 }
 
 /// One timed run: wall seconds and the outcome it produced.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "timing runs is this binary's job; wall time only reaches its reports, never simulated state"
+)]
 fn timed<F: FnOnce() -> Result<LaserOutcome, String>>(f: F) -> Result<(f64, LaserOutcome), String> {
     let start = Instant::now();
     let outcome = f()?;

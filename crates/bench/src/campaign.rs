@@ -396,6 +396,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// index order. This is the executor under [`Campaign::run`]; the Figure 3
 /// characterization reuses it directly because its unit of work is a test
 /// case, not a `workload × tool` cell.
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "lock poisoning only follows a panic already unwinding this run; the scoped-thread join guarantees every slot was filled exactly once"
+)]
 pub fn ordered_parallel<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -414,14 +419,14 @@ where
                 if i >= n {
                     break;
                 }
-                *slots[i].lock().unwrap() = Some(f(i)); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+                *slots[i].lock().unwrap() = Some(f(i));
             });
         }
     });
 
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("every index is computed")) // lint:allow(panic) — the scoped-thread join above guarantees every slot was filled exactly once
+        .map(|slot| slot.into_inner().unwrap().expect("every index is computed"))
         .collect()
 }
 

@@ -31,6 +31,10 @@ pub struct Fig3Report {
 
 impl Fig3Report {
     /// Average of a metric over one category.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "vals is a Vec summed in index order, which is fixed across runs"
+    )]
     pub fn category_mean(&self, label: &str, metric: impl Fn(&Fig3Case) -> f64) -> f64 {
         let vals: Vec<f64> = self
             .cases
@@ -41,7 +45,7 @@ impl Fig3Report {
         if vals.is_empty() {
             0.0
         } else {
-            vals.iter().sum::<f64>() / vals.len() as f64 // lint:allow(float-accum) — vals is a Vec summed in index order, which is fixed across runs
+            vals.iter().sum::<f64>() / vals.len() as f64
         }
     }
 
@@ -109,9 +113,13 @@ pub fn fig3_characterization_on(cases_per_category: usize, threads: usize) -> Fi
 fn fig3_case(case: &CharacterizationCase) -> Fig3Case {
     let built = case.build();
     let mut machine = Machine::new(MachineConfig::default(), &built.image);
+    #[expect(
+        clippy::expect_used,
+        reason = "characterization cells run under an instruction budget; non-termination is a bench bug"
+    )]
     let _ = machine
         .run_to_completion()
-        .expect("characterization cases terminate"); // lint:allow(panic) — characterization cells run under an instruction budget; non-termination is a bench bug
+        .expect("characterization cases terminate");
     let events = machine.take_hitm_events();
     let program = built.image.program();
     let mut model = ImprecisionModel::new(
@@ -160,7 +168,11 @@ pub fn fig2_layout() -> String {
         ("default malloc layout (buggy)", BuildOptions::default()),
         ("cache-line aligned (manual fix)", BuildOptions::fixed()),
     ] {
-        let spec = find("linear_regression").expect("workload exists"); // lint:allow(panic) — a missing built-in workload is a bench-table bug, not a runtime condition
+        #[expect(
+            clippy::expect_used,
+            reason = "a missing built-in workload is a bench-table bug, not a runtime condition"
+        )]
+        let spec = find("linear_regression").expect("workload exists");
         let image = spec.build(&opts);
         let _ = writeln!(out, "{title}:");
         for (t, thread) in image.threads().iter().enumerate() {

@@ -32,7 +32,17 @@
 //! roughly what factor, and where the crossovers fall. `EXPERIMENTS.md` at the
 //! repository root records paper-reported versus measured values side by side.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod accuracy;
 pub mod cache;

@@ -164,6 +164,10 @@ pub fn score_locations(spec: &WorkloadSpec, reported: &[(String, u32)]) -> (usiz
 }
 
 /// Geometric mean of a slice of ratios (1.0 for an empty slice).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "values is a slice summed in index order, which is fixed across runs"
+)]
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 1.0;

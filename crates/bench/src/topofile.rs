@@ -94,6 +94,7 @@ impl CustomTopology {
         let Some(remote) = remote else {
             return Err("missing required key \"remote\"".to_string());
         };
+        #[expect(clippy::disallowed_methods, reason = "integer sum: exact in any order")]
         let num_cores: usize = core_blocks.iter().sum();
         if num_cores > MAX_CUSTOM_CORES {
             return Err(format!(

@@ -1,11 +1,10 @@
 //! The cache-line model that classifies true vs false sharing (Figure 5).
 //!
-//! Each cache line that appears in a HITM record is tracked with the type
-//! (read/write) and byte bitmap of its *previous* access. When a new access
-//! arrives, overlap between the two bitmaps with at least one write means the
-//! threads touched the same data — true sharing; disjoint bitmaps with at
-//! least one write mean they touched different data in the same line — false
-//! sharing.
+//! Each cache line that appears in a HITM record is tracked with the byte
+//! bitmap of its *previous* access; the HITM itself establishes that a remote
+//! write was involved. When a new access arrives, overlapping bitmaps mean the
+//! threads touched the same data — true sharing; disjoint bitmaps mean they
+//! touched different data in the same line — false sharing.
 
 use laser_isa::program::Pc;
 use laser_machine::fasthash::FastHashMap;
@@ -20,22 +19,12 @@ pub enum SharingClass {
     FalseSharing,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct LastAccess {
-    /// Whether the previous access was a write. Not needed by the footprint
-    /// classification itself, but kept for report debugging and future
-    /// heuristics (e.g. distinguishing write-write from read-write sharing).
-    #[allow(dead_code)]
-    was_write: bool,
-    bitmap: u64,
-}
-
-/// Per-line state: the type and byte bitmap of the previous access, stored in
-/// a hash table so only the handful of contended lines consume space.
+/// Per-line state: the byte bitmap of the previous access, stored in a hash
+/// table so only the handful of contended lines consume space.
 #[derive(Debug, Default)]
 pub struct CacheLineModel {
     // Hot per-record path: deterministic fast hashing, never iterated.
-    lines: FastHashMap<Addr, LastAccess>,
+    lines: FastHashMap<Addr, u64>,
 }
 
 impl CacheLineModel {
@@ -80,18 +69,10 @@ impl CacheLineModel {
         is_write: bool,
         pc: Pc,
     ) -> Option<SharingClass> {
-        let _ = pc;
-        let line = line_of(addr);
+        let _ = (is_write, pc);
         let bitmap = Self::bitmap_for(addr, size);
-        let prev = self.lines.insert(
-            line,
-            LastAccess {
-                was_write: is_write,
-                bitmap,
-            },
-        );
-        let prev = prev?;
-        if prev.bitmap & bitmap != 0 {
+        let prev = self.lines.insert(line_of(addr), bitmap)?;
+        if prev & bitmap != 0 {
             Some(SharingClass::TrueSharing)
         } else {
             Some(SharingClass::FalseSharing)

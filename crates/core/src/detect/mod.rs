@@ -243,11 +243,13 @@ impl Detector {
     }
 
     /// Total false-sharing events observed so far across all PCs.
+    #[expect(clippy::disallowed_methods, reason = "integer sum: exact in any order")]
     pub fn false_sharing_events(&self) -> u64 {
         self.per_pc.values().map(|c| c.false_sharing).sum()
     }
 
     /// Total true-sharing events observed so far across all PCs.
+    #[expect(clippy::disallowed_methods, reason = "integer sum: exact in any order")]
     pub fn true_sharing_events(&self) -> u64 {
         self.per_pc.values().map(|c| c.true_sharing).sum()
     }

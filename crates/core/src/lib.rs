@@ -77,7 +77,17 @@
 //! [`Laser::run`] and [`LaserSession::new`] remain as thin wrappers over the
 //! builder.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod config;
 pub mod detect;

@@ -212,14 +212,22 @@ impl EventLog {
     }
 
     /// A snapshot of every event recorded so far.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "lock poisoning only follows a panic already unwinding this run"
+    )]
     pub fn events(&self) -> Vec<LaserEvent> {
-        self.events.lock().unwrap().clone() // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        self.events.lock().unwrap().clone()
     }
 }
 
 impl Observer for EventLog {
     fn on_event(&mut self, event: &LaserEvent) -> ControlFlow<StopReason> {
-        self.events.lock().unwrap().push(event.clone()); // lint:allow(panic) — lock poisoning only follows a panic already unwinding this run
+        #[expect(
+            clippy::unwrap_used,
+            reason = "lock poisoning only follows a panic already unwinding this run"
+        )]
+        self.events.lock().unwrap().push(event.clone());
         ControlFlow::Continue(())
     }
 }
@@ -275,11 +283,15 @@ pub struct BudgetObserver {
 
 impl BudgetObserver {
     /// Start enforcing `budget` now (the wall clock starts at construction).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "BudgetObserver is the opt-in wall-clock budget; it aborts runs and never feeds simulated state or emitted bytes"
+    )]
     pub fn new(budget: CellBudget) -> Self {
         BudgetObserver {
             budget,
             steps: 0,
-            started: Instant::now(), // lint:allow(wall-clock) — BudgetObserver is the opt-in wall-clock budget; it aborts runs and never feeds simulated state or emitted bytes
+            started: Instant::now(),
         }
     }
 

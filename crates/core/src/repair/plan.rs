@@ -29,7 +29,7 @@ use laser_isa::program::{BlockId, Pc, Program};
 const ASSUMED_LOOP_ITERATIONS: f64 = 100.0;
 
 /// The instrumentation plan LASERREPAIR derives for one contention site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepairPlan {
     /// Basic blocks whose memory operations are instrumented.
     pub instrumented_blocks: BTreeSet<BlockId>,

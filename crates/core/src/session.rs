@@ -387,7 +387,11 @@ impl Stage {
     /// result it does not read; the detector's state only becomes visible
     /// again through a later ledger's aggregates or the final report.
     fn service<R>(&mut self, job: Job, reply: impl FnOnce(QuantumLedger) -> R) -> R {
-        let start = self.busy.is_some().then(Instant::now); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "occupancy accounting only; never feeds back into simulated state"
+        )]
+        let start = self.busy.is_some().then(Instant::now);
         let (charges, needs_aggs) = match job {
             Job::Batch { events, needs_aggs } => (
                 self.driver.ingest_deferred(events, self.num_cores),
@@ -405,7 +409,11 @@ impl Stage {
             events_dropped: self.driver.stats().events_dropped,
             aggs: None,
         };
-        let split = start.map(|_| Instant::now()); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "occupancy accounting only; never feeds back into simulated state"
+        )]
+        let split = start.map(|_| Instant::now());
         let replied = if needs_aggs {
             self.detector.process(&records);
             ledger.aggs = Some(self.detector.line_aggregates());
@@ -524,7 +532,11 @@ impl PipeStage {
             Ok(Err(payload)) => panic::resume_unwind(payload),
             // The worker holds its ledger sender until it has replied to
             // every job or queued its panic, so this is a protocol bug.
-            Err(_) => panic!("laser stage worker exited with batches outstanding"), // lint:allow(panic) — a worker exiting with replies owed is a protocol bug worth crashing the cell
+            #[expect(
+                clippy::panic,
+                reason = "a worker exiting with replies owed is a protocol bug worth crashing the cell"
+            )]
+            Err(_) => panic!("laser stage worker exited with batches outstanding"),
         }
     }
 
@@ -739,7 +751,11 @@ impl LaserSession {
     pub fn advance(&mut self) -> Result<SessionStatus, LaserError> {
         let steps_before = self.machine.steps();
         let quantum = if self.is_pipelined() {
-            let start = Instant::now(); // lint:allow(wall-clock) — occupancy accounting only; never feeds back into simulated state
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "occupancy accounting only; never feeds back into simulated state"
+            )]
+            let start = Instant::now();
             let quantum = self.machine.run_quantum(self.config.poll_interval_steps);
             self.machine_busy += start.elapsed();
             quantum
@@ -1139,6 +1155,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "integer sums: exact in any order"
+    )]
     fn observer_stream_narrates_the_run_and_does_not_perturb_it() {
         let image = contended_image("events", 6000);
         let baseline = Laser::builder().build(&image).run().unwrap();
@@ -1373,15 +1393,7 @@ mod tests {
             piped.repair.as_ref().unwrap(),
         );
         assert_eq!(a.triggered_at_cycle, b.triggered_at_cycle);
-        // (Plan sets are HashSets whose Debug order is unstable; compare
-        // structurally.)
-        assert_eq!(a.plan.instrumented_blocks, b.plan.instrumented_blocks);
-        assert_eq!(a.plan.flush_blocks, b.plan.flush_blocks);
-        assert_eq!(a.plan.ssb_stores, b.plan.ssb_stores);
-        assert_eq!(
-            a.plan.estimated_stores_per_flush,
-            b.plan.estimated_stores_per_flush
-        );
+        assert_eq!(a.plan, b.plan);
         assert_eq!(a.stats, b.stats);
         assert_eq!(inline.cycles(), piped.cycles());
         assert_eq!(inline.report, piped.report);

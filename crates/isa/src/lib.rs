@@ -42,7 +42,17 @@
 //! assert_eq!(program.num_insts(), 5);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod alias;
 pub mod builder;

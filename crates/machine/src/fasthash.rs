@@ -6,14 +6,16 @@
 //! cycles per lookup, which the hot loop pays several times per simulated
 //! memory access. These maps are never exposed to untrusted keys and are
 //! never iterated (only counted), so a cheap multiply-rotate hash is both
-//! safe and behavior-preserving: every observable output of the machine is
-//! independent of map iteration order.
+//! safe and behavior-preserving: [`FastHashMap`] has no iteration API, so no
+//! observable output of the machine can depend on map order.
 //!
 //! The mixing function is the classic Fx hash (one wrapping multiply by a
 //! golden-ratio-derived odd constant per word, with a rotate to spread low
 //! bits), seeded identically on every run so simulations stay deterministic.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::hash_map::Entry;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Multiplier: 2^64 / phi, forced odd — the classic Fibonacci hashing
 /// constant.
@@ -59,23 +61,104 @@ impl Hasher for FastHasher {
 }
 
 /// `BuildHasher` for [`FastHasher`]: zero-sized, identical on every run.
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// A `HashMap` keyed through [`FastHasher`]: deterministic hashing, O(1)
-/// lookups for the hot per-access paths. Its iteration order still depends
-/// on insertion history and capacity, so — like any hash map in this
-/// workspace — it must never be *iterated* on a path that reaches simulated
-/// state or emitted bytes (the `hash-iter` lint rule enforces this).
-pub type FastHashMap<K, V> = std::collections::HashMap<K, V, FastBuildHasher>;
+/// A lookup-only hash map keyed through [`FastHasher`]: deterministic
+/// hashing, O(1) lookups for the hot per-access paths.
+///
+/// Its iteration order would depend on insertion history and capacity, so it
+/// offers no way to iterate at all: no `iter`, no `keys`/`values`, no
+/// `IntoIterator`, and a `Debug` that prints only the length. Walking a hash
+/// map in this workspace is a type error, not a review finding:
+///
+/// ```compile_fail,E0277
+/// let m = laser_machine::fasthash::FastHashMap::<u64, u64>::default();
+/// for _ in &m {}
+/// ```
+///
+/// ```compile_fail,E0599
+/// let m = laser_machine::fasthash::FastHashMap::<u64, u64>::default();
+/// let _ = m.iter();
+/// ```
+///
+/// ```compile_fail,E0599
+/// let m = laser_machine::fasthash::FastHashMap::<u64, u64>::default();
+/// let _ = m.into_iter();
+/// ```
+#[derive(Clone)]
+pub struct FastHashMap<K, V>(
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one std map in the workspace; this wrapper exposes no iteration"
+    )]
+    std::collections::HashMap<K, V, FastBuildHasher>,
+);
 
-/// A `HashSet` hashed through [`FastHasher`]; same determinism caveats as
-/// [`FastHashMap`].
-pub type FastHashSet<T> = std::collections::HashSet<T, FastBuildHasher>;
+impl<K, V> Default for FastHashMap<K, V> {
+    #[inline]
+    fn default() -> Self {
+        FastHashMap(Default::default())
+    }
+}
+
+impl<K, V> fmt::Debug for FastHashMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastHashMap")
+            .field("len", &self.0.len())
+            .finish()
+    }
+}
+
+impl<K: Eq + Hash, V> FastHashMap<K, V> {
+    /// The value stored under `key`.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+
+    /// The slot for `key`, for a single-probe read-modify-write.
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+
+    /// Store `value` under `key`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Remove and return the value stored under `key`.
+    #[inline]
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.0.remove(key)
+    }
+}
+
+impl<K, V> FastHashMap<K, V> {
+    /// Number of stored keys.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True if no key is stored.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Remove every key, keeping the allocation.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeSet;
     use std::hash::BuildHasher;
 
     #[test]
@@ -91,7 +174,7 @@ mod tests {
     fn distinct_keys_rarely_collide() {
         // Line addresses are 64-byte aligned; make sure aligned keys spread.
         let b = FastBuildHasher::default();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             seen.insert(b.hash_one(i * 64));
         }
@@ -100,7 +183,7 @@ mod tests {
 
     #[test]
     fn usable_as_map_hasher() {
-        let mut m: HashMap<u64, u32, FastBuildHasher> = HashMap::default();
+        let mut m = FastHashMap::default();
         for i in 0..1000 {
             m.insert(i * 4096, i as u32);
         }

@@ -60,7 +60,17 @@
 //! assert!(result.stats.hitm_events > 0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod addr;
 pub mod alloc;

@@ -344,7 +344,11 @@ impl Machine {
             self.core_cycles[core] += cost;
             self.sched.reposition(&self.core_cycles, core);
         } else {
-            let term = fetched.unwrap_err(); // lint:allow(panic) — the fetch above returned Err on this path; unwrap_err cannot fire
+            #[expect(
+                clippy::unwrap_used,
+                reason = "the fetch above returned Err on this path; unwrap_err cannot fire"
+            )]
+            let term = fetched.unwrap_err();
             let mut cost = lat.branch;
             match term {
                 Terminator::Jump(target) => {

@@ -437,9 +437,13 @@ impl Topology {
         match outcome.class {
             AccessClass::L1Hit => ResolvedClass::L1Hit,
             AccessClass::Hitm => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the coherence directory only reports HITM when a previous owner exists"
+                )]
                 let owner = outcome
                     .previous_owner
-                    .expect("HITM outcomes carry their previous owner"); // lint:allow(panic) — the coherence directory only reports HITM when a previous owner exists
+                    .expect("HITM outcomes carry their previous owner");
                 if self.socket_of(owner, num_cores) == socket {
                     ResolvedClass::HitmLocal
                 } else {

@@ -47,7 +47,17 @@
 //! assert_eq!(records[0].pc, 0x40_0010);
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod driver;
 pub mod imprecision;

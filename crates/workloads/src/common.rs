@@ -5,7 +5,7 @@
 use laser_isa::inst::{CmpOp, Operand, Reg};
 use laser_isa::program::BlockId;
 use laser_isa::ProgramBuilder;
-use laser_machine::{ThreadSpec, WorkloadImage};
+use laser_machine::{Addr, ThreadSpec, WorkloadImage};
 
 use crate::spec::BuildOptions;
 
@@ -37,6 +37,16 @@ pub mod regs {
 /// kernel always does *some* work.
 pub fn scaled_iters(base: u64, opts: &BuildOptions) -> u64 {
     ((base as f64 * opts.scale) as u64).max(8)
+}
+
+/// Allocate `size` heap bytes aligned to `align` in `image`; `what` names the
+/// allocation in the panic message.
+#[expect(
+    clippy::expect_used,
+    reason = "workload images size their heaps to fit; allocation failure is a builder bug"
+)]
+pub(crate) fn heap_alloc(image: &mut WorkloadImage, size: u64, align: u64, what: &str) -> Addr {
+    image.layout_mut().heap_alloc(size, align).expect(what)
 }
 
 /// Default time-dilation factor for benign (uncontended) workloads: the
@@ -197,10 +207,12 @@ pub fn private_compute(
         image.layout_mut().perturb_heap(opts.layout_perturbation);
     }
     for t in 0..opts.threads {
-        let buf = image
-            .layout_mut()
-            .heap_alloc(8 * private_slots.max(1), 64)
-            .expect("heap space for private buffers"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        let buf = heap_alloc(
+            &mut image,
+            8 * private_slots.max(1),
+            64,
+            "heap space for private buffers",
+        );
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -258,7 +270,7 @@ pub fn barrier_phased(
         .layout_mut()
         .global_alloc(64 * phases.max(1) as u64, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        let buf = heap_alloc(&mut image, 64, 64, "heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)
@@ -324,7 +336,7 @@ pub fn locked_accumulator(
     // Lock on its own line at +0, accumulator on the next line at +64.
     let shared = image.layout_mut().global_alloc(128, 64);
     for t in 0..opts.threads {
-        let buf = image.layout_mut().heap_alloc(64, 64).expect("heap space"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        let buf = heap_alloc(&mut image, 64, 64, "heap space");
         image.push_thread(
             ThreadSpec::new(format!("worker{t}"), "entry")
                 .with_reg(regs::DATA, buf)

@@ -26,7 +26,17 @@
 //! assert!(!image.threads().is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub mod common;
 pub mod microbench;

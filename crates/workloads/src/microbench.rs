@@ -17,7 +17,7 @@ use laser_isa::program::Pc;
 use laser_isa::ProgramBuilder;
 use laser_machine::{Addr, ThreadSpec, WorkloadImage};
 
-use crate::common::{close_loop, open_loop, regs};
+use crate::common::{close_loop, heap_alloc, open_loop, regs};
 
 /// True sharing (same bytes) or false sharing (distinct bytes, same line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,7 +125,7 @@ impl CharacterizationCase {
         let peer_mem_pc = program.pc_of(p_body, 0);
 
         let mut image = WorkloadImage::new(format!("chara_{}", self.id), program);
-        let line = image.layout_mut().heap_alloc(64, 64).expect("shared line"); // lint:allow(panic) — workload images size their heaps to fit; allocation failure is a builder bug
+        let line = heap_alloc(&mut image, 64, 64, "shared line");
         image.push_thread(
             ThreadSpec::new("writer", "writer")
                 .with_reg(regs::DATA, line)

@@ -40,7 +40,17 @@
 //! (The paper's alternative-input variant is registered as `histogram'` —
 //! apostrophe included — and is the one that false-shares.)
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 pub use laser_baselines as baselines;
 pub use laser_core as core;

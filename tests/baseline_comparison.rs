@@ -55,6 +55,10 @@ fn laser_is_cheaper_than_vtune_across_a_mixed_subset() {
         laser_norms.push(laser.run.cycles as f64 / native.cycles as f64);
         vtune_norms.push(v.run.cycles as f64 / native.cycles as f64);
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "each slice is summed in index order, which is fixed across runs"
+    )]
     let geo = |v: &[f64]| (v.iter().map(|x| x.ln()).sum::<f64>() / v.len() as f64).exp();
     let (laser_geo, vtune_geo) = (geo(&laser_norms), geo(&vtune_norms));
     assert!(

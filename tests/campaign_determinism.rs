@@ -286,6 +286,10 @@ fn budgeted_campaigns_are_byte_identical_for_any_thread_count() {
 }
 
 /// FNV-1a over `bytes`: a stable, dependency-free digest for pinning output.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "an integer hash folded over the bytes in index order"
+)]
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
